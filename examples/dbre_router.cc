@@ -3,8 +3,9 @@
 //   dbre_router [--port N] --worker [ID=]HOST:PORT [--worker ...]
 //               [--vnodes N] [--health-interval-ms MS] [--lease-ms MS]
 //
-//   --port N        listen on 127.0.0.1:N (0 = ephemeral; the chosen port
-//                   prints as the first stdout line, like dbre_serve)
+//   --port N        listen on 127.0.0.1:N, 0..65535 (0 = ephemeral; the
+//                   chosen port prints as the first stdout line, like
+//                   dbre_serve)
 //   --worker SPEC   one backend dbre_serve, repeatable. SPEC is HOST:PORT
 //                   or ID=HOST:PORT; without an explicit ID the worker is
 //                   named w1, w2, ... in argument order. The ID is the
@@ -33,9 +34,12 @@
 //
 // Runs until a client sends {"cmd":"shutdown"} — to the router; workers
 // are independent processes and keep running.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/router.h"
@@ -43,13 +47,20 @@
 namespace {
 
 struct RouterArgs {
-  int port = 7410;
+  uint16_t port = 7410;
   std::vector<dbre::cluster::RouterWorkerConfig> workers;
   long vnodes = 64;
   long health_interval_ms = 500;
   long lease_ms = 3000;
   bool show_help = false;
 };
+
+// A decimal TCP port, 0..65535, with nothing trailing.
+bool ParsePort(std::string_view text, uint16_t* port) {
+  auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), *port);
+  return error == std::errc() && end == text.data() + text.size();
+}
 
 // HOST:PORT or ID=HOST:PORT.
 bool ParseWorkerSpec(const std::string& spec, size_t ordinal,
@@ -68,10 +79,8 @@ bool ParseWorkerSpec(const std::string& spec, size_t ordinal,
     return false;
   }
   config->host = rest.substr(0, colon);
-  long port = std::strtol(rest.c_str() + colon + 1, nullptr, 10);
-  if (port <= 0 || port > 65535) return false;
-  config->port = static_cast<uint16_t>(port);
-  return true;
+  return ParsePort(rest.c_str() + colon + 1, &config->port) &&
+         config->port != 0;
 }
 
 bool ParseArgs(int argc, char** argv, RouterArgs* args) {
@@ -87,7 +96,10 @@ bool ParseArgs(int argc, char** argv, RouterArgs* args) {
     if (flag == "--port") {
       const char* value = next("--port");
       if (value == nullptr) return false;
-      args->port = std::atoi(value);
+      if (!ParsePort(value, &args->port)) {
+        std::fprintf(stderr, "bad --port '%s' (want 0..65535)\n", value);
+        return false;
+      }
     } else if (flag == "--worker") {
       const char* value = next("--worker");
       if (value == nullptr) return false;
@@ -147,8 +159,7 @@ int main(int argc, char** argv) {
   options.health_interval_ms = args.health_interval_ms;
   options.lease_ms = args.lease_ms;
   dbre::cluster::Router router(args.workers, options);
-  if (auto status = router.Start(static_cast<uint16_t>(args.port));
-      !status.ok()) {
+  if (auto status = router.Start(args.port); !status.ok()) {
     std::fprintf(stderr, "dbre_router: %s\n", status.ToString().c_str());
     return 1;
   }

@@ -1,21 +1,19 @@
 // dbre_serve — the dbred daemon: many concurrent reverse-engineering
 // sessions multiplexed over newline-delimited JSON.
 //
-//   dbre_serve [--port N] [--stdio] [--transport epoll|threads]
-//              [--worker-id ID] [--timeout-ms MS]
+//   dbre_serve [--port N] [--stdio] [--worker-id ID] [--timeout-ms MS]
 //              [--max-sessions N] [--max-inflight N] [--max-queued N]
 //              [--data-dir PATH] [--fsync-batch N] [--slow-op-ms MS]
 //              [--run-deadline-ms MS]
 //
-//   --port N        listen on 127.0.0.1:N (0 = pick an ephemeral port;
-//                   the chosen port prints as the first stdout line)
-//   --stdio         serve exactly one client over stdin/stdout instead
-//                   of TCP (inetd-style; handy for tests and pipes)
-//   --transport T   TCP serving machinery: "epoll" (default) is the
+//   --port N        listen on 127.0.0.1:N, 0..65535 (0 = pick an
+//                   ephemeral port; the chosen port prints as the first
+//                   stdout line). Connections are served by the epoll
 //                   event-loop transport — one loop thread, on-demand
 //                   handler pool, bounded pipelining and write-side
-//                   backpressure (docs/CLUSTER.md); "threads" is the
-//                   classic thread-per-connection accept loop
+//                   backpressure (docs/CLUSTER.md)
+//   --stdio         serve exactly one client over stdin/stdout instead
+//                   of TCP (inetd-style; handy for tests and pipes)
 //   --worker-id ID  identify this daemon in a multi-worker fleet behind
 //                   dbre_router: sessions it owns are stamped with ID in
 //                   the shared --data-dir, and on startup it recovers
@@ -64,11 +62,14 @@
 // service (docs/ROBUSTNESS.md).
 //
 // In TCP mode the daemon runs until a client sends {"cmd":"shutdown"}.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 
 #include "cluster/service_transport.h"
 #include "service/server.h"
@@ -77,9 +78,8 @@
 namespace {
 
 struct ServeArgs {
-  int port = 7411;
+  uint16_t port = 7411;
   bool stdio = false;
-  std::string transport = "epoll";
   std::string worker_id;
   long timeout_ms = -1;
   long max_sessions = -1;
@@ -95,6 +95,13 @@ struct ServeArgs {
   bool show_help = false;
 };
 
+// A decimal TCP port, 0..65535, with nothing trailing.
+bool ParsePort(std::string_view text, uint16_t* port) {
+  auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), *port);
+  return error == std::errc() && end == text.data() + text.size();
+}
+
 bool ParseArgs(int argc, char** argv, ServeArgs* args) {
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
@@ -106,18 +113,17 @@ bool ParseArgs(int argc, char** argv, ServeArgs* args) {
       *out = std::strtol(argv[++i], nullptr, 10);
       return true;
     };
-    long value = 0;
     if (flag == "--port") {
-      if (!next_long("--port", &value)) return false;
-      args->port = static_cast<int>(value);
-    } else if (flag == "--stdio") {
-      args->stdio = true;
-    } else if (flag == "--transport") {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "--transport requires a value\n");
+        std::fprintf(stderr, "--port requires a value\n");
         return false;
       }
-      args->transport = argv[++i];
+      if (!ParsePort(argv[++i], &args->port)) {
+        std::fprintf(stderr, "bad --port '%s' (want 0..65535)\n", argv[i]);
+        return false;
+      }
+    } else if (flag == "--stdio") {
+      args->stdio = true;
     } else if (flag == "--worker-id") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "--worker-id requires a value\n");
@@ -166,7 +172,7 @@ bool ParseArgs(int argc, char** argv, ServeArgs* args) {
 
 void PrintUsage() {
   std::printf(
-      "usage: dbre_serve [--port N] [--stdio] [--transport epoll|threads]\n"
+      "usage: dbre_serve [--port N] [--stdio]\n"
       "                  [--worker-id ID] [--timeout-ms MS]\n"
       "                  [--max-sessions N] [--max-inflight N] "
       "[--max-queued N]\n"
@@ -223,11 +229,6 @@ int main(int argc, char** argv) {
   }
   options.enable_failpoints = args.enable_failpoints;
   options.sessions.worker_id = args.worker_id;
-  if (args.transport != "epoll" && args.transport != "threads") {
-    std::fprintf(stderr, "dbre_serve: unknown --transport '%s' "
-                 "(epoll|threads)\n", args.transport.c_str());
-    return 2;
-  }
   dbre::service::Server server(options);
   if (!args.data_dir.empty()) {
     if (auto status = server.sessions()->store_status(); !status.ok()) {
@@ -255,34 +256,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (args.transport == "epoll") {
-    dbre::cluster::EventLoopTransport transport(&server);
-    if (auto status = transport.Start(static_cast<uint16_t>(args.port));
-        !status.ok()) {
-      std::fprintf(stderr, "dbre_serve: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("%u\n", transport.port());
-    std::fflush(stdout);
-    std::fprintf(stderr, "dbred listening on 127.0.0.1:%u (epoll)\n",
-                 transport.port());
-    transport.WaitUntilShutdown();
-    transport.Stop();
-    server.sessions()->Shutdown();
-    return 0;
-  }
-
-  dbre::service::TcpServer tcp(&server);
-  if (auto status = tcp.Start(static_cast<uint16_t>(args.port));
-      !status.ok()) {
+  dbre::cluster::EventLoopTransport transport(&server);
+  if (auto status = transport.Start(args.port); !status.ok()) {
     std::fprintf(stderr, "dbre_serve: %s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("%u\n", tcp.port());
+  std::printf("%u\n", transport.port());
   std::fflush(stdout);
-  std::fprintf(stderr, "dbred listening on 127.0.0.1:%u\n", tcp.port());
-  tcp.WaitUntilShutdown();
-  tcp.Stop();
+  std::fprintf(stderr, "dbred listening on 127.0.0.1:%u\n",
+               transport.port());
+  transport.WaitUntilShutdown();
+  transport.Stop();
   server.sessions()->Shutdown();
   return 0;
 }

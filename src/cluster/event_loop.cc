@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -24,6 +25,7 @@ constexpr uint64_t kFirstConnId = 2;
 
 struct LoopMetrics {
   obs::Counter* accepted;
+  obs::Counter* accept_errors;
   obs::Counter* requests;
   obs::Counter* pauses;
 };
@@ -34,6 +36,9 @@ const LoopMetrics& Metrics() {
     return LoopMetrics{
         registry.GetCounter("dbre_eventloop_accepted_total", {},
                             "Connections accepted by the epoll transport"),
+        registry.GetCounter("dbre_accept_errors_total", {},
+                            "Transient accept() failures retried by the "
+                            "listener"),
         registry.GetCounter("dbre_eventloop_requests_total", {},
                             "Request lines read by the epoll transport"),
         registry.GetCounter(
@@ -246,11 +251,21 @@ void EventLoopServer::LoopMain() {
   std::vector<epoll_event> events(128);
   bool reading_stop_applied = false;
   while (!loop_exit_.load(std::memory_order_acquire)) {
+    int timeout_ms = -1;
+    if (!listener_armed_ && listen_fd_ >= 0) {
+      auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+          accept_resume_ - std::chrono::steady_clock::now());
+      timeout_ms = static_cast<int>(std::max<int64_t>(wait.count(), 0));
+    }
     int n = ::epoll_wait(epoll_fd_, events.data(),
-                         static_cast<int>(events.size()), -1);
+                         static_cast<int>(events.size()), timeout_ms);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
+    }
+    if (!listener_armed_ && listen_fd_ >= 0 &&
+        std::chrono::steady_clock::now() >= accept_resume_) {
+      SetListenerArmed(true);
     }
     for (int i = 0; i < n; ++i) {
       const epoll_event& ev = events[i];
@@ -311,18 +326,27 @@ void EventLoopServer::LoopMain() {
 
 void EventLoopServer::AcceptReady() {
   while (listen_fd_ >= 0) {
-    int fd = ::accept4(listen_fd_, nullptr, nullptr,
-                       SOCK_NONBLOCK | SOCK_CLOEXEC);
+    int fd = -1;
+    if (FailpointError("service.accept").ok()) {
+      fd = ::accept4(listen_fd_, nullptr, nullptr,
+                     SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd < 0 && errno == EINTR) continue;
+      if (fd < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+    }
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN: backlog drained; transient errors retry on the
-               // next readiness event instead of spinning here
+      // A transient failure (EMFILE/ENFILE with fds exhausted, ENOMEM,
+      // ECONNABORTED) leaves the connection in the backlog, and the
+      // level-triggered listener would re-fire at once and spin the loop.
+      // Take it out of the poll set until LoopMain re-arms it.
+      Metrics().accept_errors->Add(1);
+      accept_backoff_ms_ = std::min<int64_t>(
+          std::max<int64_t>(accept_backoff_ms_ * 2, 1), 100);
+      accept_resume_ = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(accept_backoff_ms_);
+      SetListenerArmed(false);
+      return;
     }
-    if (Failpoints::Check("service.accept").action !=
-        FailpointHit::Action::kNone) {
-      ::close(fd);
-      continue;
-    }
+    accept_backoff_ms_ = 0;
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>();
@@ -342,6 +366,14 @@ void EventLoopServer::AcceptReady() {
     ++stats_.accepted;
     ++stats_.connections;
   }
+}
+
+void EventLoopServer::SetListenerArmed(bool armed) {
+  listener_armed_ = armed;
+  epoll_event ev{};
+  if (armed) ev.events = EPOLLIN;
+  ev.data.u64 = kListenId;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, listen_fd_, &ev);
 }
 
 void EventLoopServer::ReadReady(const std::shared_ptr<Conn>& conn) {

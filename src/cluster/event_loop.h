@@ -20,6 +20,11 @@
 // thus propagates to the client through TCP flow control instead of
 // growing unbounded queues.
 //
+// A transient accept(2) failure (EMFILE, ENFILE, ENOMEM, ...) takes the
+// listener out of the poll set for a capped backoff (1ms doubling to
+// 100ms) instead of ending or spinning the loop; each one counts
+// `dbre_accept_errors_total`.
+//
 // The same EventLoopServer serves both the worker daemon (handler =
 // Server::HandleLine, see service_transport.h) and the router front
 // process (handler = Router::Handle, whose upstream calls block on worker
@@ -28,6 +33,7 @@
 #define DBRE_CLUSTER_EVENT_LOOP_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -118,6 +124,7 @@ class EventLoopServer {
   void LoopMain();
   void Wake();
   void AcceptReady();
+  void SetListenerArmed(bool armed);
   void ReadReady(const std::shared_ptr<Conn>& conn);
   void ExtractLines(const std::shared_ptr<Conn>& conn);
   void DrainCompletions();
@@ -141,6 +148,11 @@ class EventLoopServer {
 
   // Loop-thread state.
   uint64_t next_conn_id_ = 1;
+  // Accept backoff: after a transient accept error the listener leaves
+  // the poll set until `accept_resume_`.
+  bool listener_armed_ = true;
+  int64_t accept_backoff_ms_ = 0;
+  std::chrono::steady_clock::time_point accept_resume_;
   std::unordered_map<uint64_t, std::shared_ptr<Conn>> conns_;
 
   // Handler threads → loop thread.

@@ -1,12 +1,10 @@
-// EventLoopServer ↔ service::Server glue.
+// EventLoopServer ↔ service::Server glue: the daemon's TCP transport.
 //
-// Serves the dbred NDJSON protocol over the epoll event loop behind the
-// same lifecycle surface as service::TcpServer (Start / port /
-// WaitUntilShutdown / Stop), so dbre_serve picks the transport with one
-// flag and everything above the socket — Server, SessionManager, store —
-// is untouched. All protocol state lives in the Server; a dropped
-// connection never takes a session with it, exactly as with the
-// thread-per-connection transport.
+// Serves the dbred NDJSON protocol over the epoll event loop with the
+// daemon's lifecycle (Start / port / WaitUntilShutdown / Stop); the loop
+// itself stays protocol-agnostic, and everything above the socket —
+// Server, SessionManager, store — is untouched. All protocol state lives
+// in the Server, so a dropped connection never takes a session with it.
 #ifndef DBRE_CLUSTER_SERVICE_TRANSPORT_H_
 #define DBRE_CLUSTER_SERVICE_TRANSPORT_H_
 

@@ -132,8 +132,8 @@ Registry::Series* Registry::GetSeries(const std::string& name,
   for (auto& series : family->series) {
     if (series.labels == labels) return &series;
   }
-  // Series cells live behind unique_ptr so growing the vector never moves
-  // a cell a caller already cached.
+  // Series cells live behind unique_ptr so growing the series list never
+  // moves a cell a caller already cached.
   Series series;
   series.labels = labels;
   switch (kind) {

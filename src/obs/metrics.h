@@ -179,7 +179,9 @@ class Registry {
     std::string name;
     std::string help;
     Kind kind = Kind::kCounter;
-    std::vector<Series> series;
+    // A deque: appending never moves an existing Series, so the pointer
+    // GetSeries returns stays readable after it releases the lock.
+    std::deque<Series> series;
   };
 
   Series* GetSeries(const std::string& name, const Labels& labels,

@@ -1,10 +1,20 @@
 // Fault-injection tests for the service layer: the `failpoint` wire
 // command, sticky degraded journaling, the run-deadline watchdog, the
-// accept loop's retry behavior, recovery past quarantined journal
+// epoll listener's accept backoff, recovery past quarantined journal
 // corruption, and failure injection at the oracle answer and memory
 // reservation edges. Everything runs against real Server objects; faults
 // come from the process-wide failpoint registry (docs/ROBUSTNESS.md).
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -14,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/service_transport.h"
 #include "common/failpoint.h"
+#include "obs/metrics.h"
 #include "paper_session_util.h"
 #include "service/server.h"
 #include "service/transport.h"
@@ -255,33 +267,106 @@ TEST_F(RobustnessTest, WatchdogSparesRunsWaitingInTheQueue) {
   server.sessions()->Shutdown();
 }
 
+uint64_t AcceptErrors() {
+  return obs::Registry::Default()
+      .GetCounter("dbre_accept_errors_total")
+      ->value();
+}
+
 TEST_F(RobustnessTest, AcceptLoopSurvivesInjectedAcceptErrors) {
   Server server;
-  TcpServer tcp(&server);
-  ASSERT_TRUE(tcp.Start(0).ok());
+  cluster::EventLoopTransport transport(&server);
+  ASSERT_TRUE(transport.Start(0).ok());
+  const uint64_t errors_before = AcceptErrors();
 
-  // The next two accepted connections fail server-side; the loop must
-  // back off and keep accepting instead of exiting.
+  // The next two accept attempts fail like a transient EMFILE: the
+  // connection stays in the backlog while the listener backs off, and the
+  // loop must keep accepting instead of exiting.
   ASSERT_TRUE(
       Failpoints::Instance().Arm("service.accept", "error*2").ok());
 
-  bool served = false;
-  for (int attempt = 0; attempt < 10 && !served; ++attempt) {
-    auto channel = TcpConnect("127.0.0.1", tcp.port());
-    ASSERT_TRUE(channel.ok()) << channel.status().ToString();
-    Json hello = Command("hello");
-    hello.Set("id", Json::Int(1));
-    if (!(*channel)->WriteLine(hello.Dump()).ok()) continue;
-    auto line = (*channel)->ReadLine();
-    if (!line.ok()) continue;  // this connection was the injected failure
-    auto response = Json::Parse(*line);
-    ASSERT_TRUE(response.ok());
-    EXPECT_TRUE(response->GetBool("ok")) << *line;
-    served = true;
-  }
-  EXPECT_TRUE(served) << "accept loop never recovered";
+  auto channel = TcpConnectWithRetry("127.0.0.1", transport.port(),
+                                     /*deadline_ms=*/1000,
+                                     /*recv_timeout_ms=*/5000);
+  ASSERT_TRUE(channel.ok()) << channel.status().ToString();
+  Json hello = Command("hello");
+  hello.Set("id", Json::Int(1));
+  ASSERT_TRUE((*channel)->WriteLine(hello.Dump()).ok());
+  auto line = (*channel)->ReadLine();
+  ASSERT_TRUE(line.ok()) << "accept loop never recovered: "
+                         << line.status().ToString();
+  auto response = Json::Parse(*line);
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response->GetBool("ok")) << *line;
+  EXPECT_EQ(AcceptErrors() - errors_before, 2u);
 
-  tcp.Stop();
+  transport.Stop();
+  server.sessions()->Shutdown();
+}
+
+// Exhausted descriptors leave a connection stuck in the listener's
+// backlog, so level-triggered readiness fires on every epoll_wait. The
+// listener must back off (tens of retries, not a busy loop) and serve the
+// connection once descriptors free up.
+TEST_F(RobustnessTest, ListenerBacksOffWhileDescriptorsRunOut) {
+  Server server;
+  cluster::EventLoopTransport transport(&server);
+  ASSERT_TRUE(transport.Start(0).ok());
+
+  // The client socket must exist before the descriptor table fills.
+  int client_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client_fd, 0);
+  auto channel = std::make_unique<SocketChannel>(client_fd);
+  timeval recv_timeout{};
+  recv_timeout.tv_sec = 5;
+  ::setsockopt(client_fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
+
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = std::min<rlim_t>(saved.rlim_cur, 256);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+  std::vector<int> filler;
+  while (filler.size() < 256) {
+    int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (fd < 0) break;
+    filler.push_back(fd);
+  }
+  const int open_errno = errno;
+
+  const uint64_t errors_before = AcceptErrors();
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(transport.port());
+  const int connect_errno =
+      ::connect(client_fd, reinterpret_cast<sockaddr*>(&addr),
+                sizeof(addr)) == 0
+          ? 0
+          : errno;
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const uint64_t errors = AcceptErrors() - errors_before;
+
+  for (int fd : filler) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_EQ(open_errno, EMFILE) << "descriptor table never filled";
+  ASSERT_EQ(connect_errno, 0) << std::strerror(connect_errno);
+  // The 1ms→100ms schedule allows about ten retries in 300ms.
+  EXPECT_GE(errors, 1u);
+  EXPECT_LE(errors, 50u);
+
+  Json hello = Command("hello");
+  hello.Set("id", Json::Int(1));
+  ASSERT_TRUE(channel->WriteLine(hello.Dump()).ok());
+  auto line = channel->ReadLine();
+  ASSERT_TRUE(line.ok()) << "backlogged connection never served: "
+                         << line.status().ToString();
+  auto response = Json::Parse(*line);
+  ASSERT_TRUE(response.ok());
+  EXPECT_TRUE(response->GetBool("ok")) << *line;
+
+  transport.Stop();
   server.sessions()->Shutdown();
 }
 

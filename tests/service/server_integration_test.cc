@@ -1,7 +1,8 @@
-// End-to-end tests of the dbred daemon over real transports: many
-// concurrent sessions, each driven by its own scripted client thread, with
-// every final report required to be byte-identical to the same pipeline
-// run in-process with the paper's ScriptedOracle. Also covers the
+// End-to-end tests of the dbred daemon over its real transports (the epoll
+// TCP transport and stdio): many concurrent sessions, each driven by its
+// own scripted client thread, with every final report required to be
+// byte-identical to the same pipeline run in-process with the paper's
+// ScriptedOracle. Also covers the
 // disconnect-mid-question / reconnect-and-answer path that motivates
 // keeping all session state out of connections.
 #include <algorithm>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/service_transport.h"
 #include "paper_session_util.h"
 #include "service/server.h"
 #include "service/transport.h"
@@ -110,8 +112,8 @@ TEST(ServerIntegrationTest, EightConcurrentSessionsMatchScriptedPipeline) {
   ServerOptions options;
   options.sessions.max_inflight_runs = 8;  // all sessions truly concurrent
   Server server(options);
-  TcpServer tcp(&server);
-  ASSERT_TRUE(tcp.Start(0).ok());
+  cluster::EventLoopTransport transport(&server);
+  ASSERT_TRUE(transport.Start(0).ok());
 
   constexpr int kSessions = 8;
   std::vector<std::string> reports(kSessions);
@@ -120,8 +122,9 @@ TEST(ServerIntegrationTest, EightConcurrentSessionsMatchScriptedPipeline) {
   for (int i = 0; i < kSessions; ++i) {
     clients.emplace_back([&, i] {
       // Client 0 drops its connection mid-question and reconnects.
-      reports[i] = DriveSession(tcp.port(), "paper" + std::to_string(i),
-                                inputs, /*drop_mid_question=*/i == 0);
+      reports[i] =
+          DriveSession(transport.port(), "paper" + std::to_string(i),
+                       inputs, /*drop_mid_question=*/i == 0);
     });
   }
   for (std::thread& thread : clients) thread.join();
@@ -135,19 +138,19 @@ TEST(ServerIntegrationTest, EightConcurrentSessionsMatchScriptedPipeline) {
   ExtensionRegistry::Stats stats = server.sessions()->registry()->stats();
   EXPECT_GE(stats.hits, static_cast<uint64_t>((kSessions - 1) *
                                               inputs.csvs.size()));
-  tcp.Stop();
+  transport.Stop();
   server.sessions()->Shutdown();
 }
 
 TEST(ServerIntegrationTest, ObserverCanAnswerAnotherClientsQuestion) {
   ServerOptions options;
   Server server(options);
-  TcpServer tcp(&server);
-  ASSERT_TRUE(tcp.Start(0).ok());
+  cluster::EventLoopTransport transport(&server);
+  ASSERT_TRUE(transport.Start(0).ok());
   const PaperInputs inputs = BuildPaperInputs();
 
   // Owner sets up the session and starts the run, then only waits.
-  Client owner(tcp.port());
+  Client owner(transport.port());
   std::string session =
       owner.MustCall(Command("create", "shared")).GetString("session");
   Json load_ddl = Command("load_ddl", session);
@@ -170,7 +173,7 @@ TEST(ServerIntegrationTest, ObserverCanAnswerAnotherClientsQuestion) {
 
   // A second client answers every question from its own connection.
   std::thread expert_thread([&] {
-    Client expert_client(tcp.port());
+    Client expert_client(transport.port());
     auto expert = workload::PaperOracle();
     while (true) {
       Json wait = Command("wait", session);
@@ -208,7 +211,7 @@ TEST(ServerIntegrationTest, ObserverCanAnswerAnotherClientsQuestion) {
   EXPECT_EQ(status.GetString("state"), "done") << status.Dump();
   EXPECT_EQ(owner.MustCall(Command("report", session)).GetString("report"),
             ReferenceReport());
-  tcp.Stop();
+  transport.Stop();
   server.sessions()->Shutdown();
 }
 
@@ -239,10 +242,10 @@ TEST(ServerIntegrationTest, MetricsCommandCoversEveryLayer) {
   options.sessions.journal.fsync_batch = 1;
   options.slow_op_ms = 1;  // arm the slow-op log
   Server server(options);
-  TcpServer tcp(&server);
-  ASSERT_TRUE(tcp.Start(0).ok());
+  cluster::EventLoopTransport transport(&server);
+  ASSERT_TRUE(transport.Start(0).ok());
 
-  Client client(tcp.port());
+  Client client(transport.port());
   const PaperInputs inputs = BuildPaperInputs();
   Json create = Command("create");
   create.Set("name", Json::Str("obs"));
@@ -309,7 +312,7 @@ TEST(ServerIntegrationTest, MetricsCommandCoversEveryLayer) {
   EXPECT_EQ(obs->Find("slow_ops")->array().size() <= 64, true);
 
   client.MustCall(Command("close", "obs"));
-  tcp.Stop();
+  transport.Stop();
   server.sessions()->Shutdown();
   fs::remove_all(dir);
 }
@@ -330,16 +333,16 @@ TEST(ServerIntegrationTest, PagedModeIsByteIdenticalAndReleasesOnClose) {
   options.sessions.data_dir = dir.string();
   options.sessions.buffer_pool_bytes = 1;  // clamp to the minimum frames
   Server server(options);
-  TcpServer tcp(&server);
-  ASSERT_TRUE(tcp.Start(0).ok());
+  cluster::EventLoopTransport transport(&server);
+  ASSERT_TRUE(transport.Start(0).ok());
 
   const PaperInputs inputs = BuildPaperInputs();
-  std::string report = DriveSession(tcp.port(), "paged", inputs,
+  std::string report = DriveSession(transport.port(), "paged", inputs,
                                     /*drop_mid_question=*/false);
   EXPECT_EQ(report, ReferenceReport())
       << "paged session diverged from the in-process pipeline";
 
-  Client client(tcp.port());
+  Client client(transport.port());
   // The `stats` pagestore block proves the run went through the pool.
   Json stats = client.MustCall(Command("stats"));
   const Json* pagestore = stats.Find("pagestore");
@@ -364,7 +367,7 @@ TEST(ServerIntegrationTest, PagedModeIsByteIdenticalAndReleasesOnClose) {
   EXPECT_NE(page.find("# TYPE dbre_pagestore_read_us histogram"),
             std::string::npos);
 
-  tcp.Stop();
+  transport.Stop();
   server.sessions()->Shutdown();
   fs::remove_all(dir);
 }
