@@ -17,10 +17,13 @@
 // oracle. Every time the pipeline suspends on an expert question the
 // client prints the question (with its join valuations or g3 error) and
 // forwards your terminal answer over the wire.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -43,15 +46,38 @@ struct ClientArgs {
   bool show_help = false;
 };
 
+// A whole decimal string in [min, max], nothing trailing.
+bool ParseNumber(std::string_view text, long min, long max, long* out) {
+  long value = 0;
+  auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      value < min || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, ClientArgs* args) {
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
     if (flag == "--host" && i + 1 < argc) {
       args->host = argv[++i];
     } else if (flag == "--port" && i + 1 < argc) {
-      args->port = std::atoi(argv[++i]);
+      long port = 0;
+      if (!ParseNumber(argv[++i], 1, 65535, &port)) {
+        std::fprintf(stderr, "bad --port '%s' (want 1..65535)\n", argv[i]);
+        return false;
+      }
+      args->port = static_cast<int>(port);
     } else if (flag == "--timeout-ms" && i + 1 < argc) {
-      args->timeout_ms = std::strtol(argv[++i], nullptr, 10);
+      if (!ParseNumber(argv[++i], 0, std::numeric_limits<long>::max(),
+                       &args->timeout_ms)) {
+        std::fprintf(stderr, "bad --timeout-ms '%s' (want a count >= 0)\n",
+                     argv[i]);
+        return false;
+      }
     } else if (flag == "repl" || flag == "demo") {
       args->mode = flag;
     } else if (flag == "--help" || flag == "-h") {

@@ -1,10 +1,10 @@
 #include "core/restruct.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/string_util.h"
 #include "relational/algebra.h"
+#include "relational/query_cache.h"
 
 namespace dbre {
 namespace {
@@ -59,11 +59,6 @@ Status CreateRelationFrom(Database* database, const std::string& name,
     DBRE_RETURN_IF_ERROR(table.Insert(std::move(row)));
   }
   return database->AddTable(std::move(table));
-}
-
-bool HasNull(const ValueVector& row) {
-  return std::any_of(row.begin(), row.end(),
-                     [](const Value& v) { return v.is_null(); });
 }
 
 }  // namespace
@@ -127,7 +122,8 @@ Result<RestructResult> Restruct(const Database& database,
 
     // Extension: one row per distinct non-NULL LHS value; dependent values
     // from the first witnessing tuple (first-wins resolves conflicts of
-    // expert-enforced FDs).
+    // expert-enforced FDs). Those tuples are exactly the representatives of
+    // the LHS partition, which RHS-Discovery's FD tests already memoized.
     AttributeSet all = fd.lhs.Union(fd.rhs);
     std::vector<std::string> attribute_order;
     for (const std::string& a : fd.lhs) attribute_order.push_back(a);
@@ -137,16 +133,15 @@ Result<RestructResult> Restruct(const Database& database,
     DBRE_ASSIGN_OR_RETURN(
         std::vector<size_t> all_indexes,
         OrderedProjectionIndexes(*source, attribute_order));
-    std::unordered_map<ValueVector, ValueVector, ValueVectorHash> projected;
-    DBRE_RETURN_IF_ERROR(source->ForEachRow([&](const ValueVector& row) {
-      ValueVector key = Table::ProjectRow(row, lhs_indexes);
-      if (HasNull(key)) return;
-      projected.try_emplace(std::move(key),
-                            Table::ProjectRow(row, all_indexes));
-    }));
-    std::vector<ValueVector> rows;
-    rows.reserve(projected.size());
-    for (auto& [key, row] : projected) rows.push_back(std::move(row));
+    DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache,
+                          source->query_cache());
+    std::shared_ptr<const CodePartition> partition =
+        cache->Partition(lhs_indexes, NullPolicy::kSkipNullRows);
+    EncodedTable::RowReader reader = cache->ReadRows(all_indexes);
+    std::vector<ValueVector> rows(partition->num_groups());
+    for (size_t g = 0; g < rows.size(); ++g) {
+      reader.Read(partition->representative[g], &rows[g]);
+    }
     std::sort(rows.begin(), rows.end());
     DBRE_RETURN_IF_ERROR(CreateRelationFrom(&result.database, name, *source,
                                             attribute_order, fd.lhs,

@@ -588,6 +588,24 @@ Result<std::shared_ptr<PagedSnapshot>> PagedSnapshot::Open(
                                " is malformed");
       }
     }
+    if (structure.ok()) {
+      // Hold the code stream to the canonical form while checksumming it.
+      store::CanonicalCodeCheck check(column.dict_size);
+      std::vector<uint8_t> chunk;
+      for (uint64_t left = rows; left > 0;) {
+        const size_t codes =
+            static_cast<size_t>(std::min<uint64_t>(left, 16384));
+        chunk.resize(codes * 4);
+        DBRE_RETURN_IF_ERROR(r.Read(chunk.data(), chunk.size()));
+        crc = Crc32c(crc, chunk.data(), chunk.size());
+        check.Add(chunk.data(), codes);
+        left -= codes;
+      }
+      if (const char* defect = check.Finish(column.has_null)) {
+        structure = ParseError("snapshot " + path + ": " + page_name + " " +
+                               defect);
+      }
+    }
     // Finish the payload CRC even if the structure was bad: a checksum
     // mismatch is the more fundamental diagnosis and wins, matching the
     // whole-file loader's error order.

@@ -1,17 +1,18 @@
 // Opens a DBSNAP01 snapshot page-at-a-time instead of mmapping it whole.
 //
-// Open() makes ONE streaming pass over the file with a small read buffer:
-// it verifies every checksum the whole-file loader verifies (schema CRC,
-// every column payload CRC, footer CRC + magics) using the identical error
-// messages, and on the side computes the CRC32C of every kPageSize-byte
-// page, which the buffer pool re-verifies on each read-back. Nothing row-
-// sized is materialized: per column, Open records the byte offsets of the
-// dictionary and code regions and builds a sparse dictionary directory
+// Open() makes ONE streaming pass over the file with a small read buffer: it
+// verifies every checksum the whole-file loader verifies (schema CRC, every
+// column payload CRC, footer CRC + magics) and holds every code page to the
+// canonical encoding (store/snapshot_format.h's CanonicalCodeCheck), using the
+// identical error messages, and on the side computes the CRC32C of every
+// kPageSize-byte page, which the buffer pool re-verifies on each read-back.
+// Nothing row-sized is materialized: per column, Open records the byte offsets
+// of the dictionary and code regions and builds a sparse dictionary directory
 // (one byte offset per kDictDirStride entries) so DictValueAt is O(stride)
 // page-local work. int64/double dictionaries are fixed-width (9 bytes per
-// entry) and addressed arithmetically. Values larger than a page — long
-// strings — simply span consecutive pages; the reader assembles them
-// across pins (the format needs no separate overflow-page chain).
+// entry) and addressed arithmetically. Values larger than a page — long strings
+// — simply span consecutive pages; the reader assembles them across pins (the
+// format needs no separate overflow-page chain).
 //
 // A snapshot whose verification fails never attaches to the pool; the
 // service layer quarantines it exactly as it does for LoadSnapshot.

@@ -46,10 +46,10 @@ void CheckStream(const Status& status) {
 // back to materialized sets — results are identical either way.
 std::shared_ptr<const PagedKeyIndex> BuildSideKeyIndex(QueryCache& build_cache,
                                                        size_t build_column) {
-  const EncodedTable& encoded = build_cache.encoded();
-  if (!encoded.paged() || !PagedIndexEnabled()) return nullptr;
+  const EncodedColumn& column = build_cache.encoded().column(build_column);
+  if (!column.paged() || !PagedIndexEnabled()) return nullptr;
   Result<std::shared_ptr<const PagedKeyIndex>> index =
-      encoded.paged_source()->KeyIndexFor(encoded.paged_column(build_column));
+      column.source->KeyIndexFor(column.source_column);
   if (!index.ok()) return nullptr;
   static obs::Counter* const probes = obs::Registry::Default().GetCounter(
       "dbre_pagestore_index_probe_batches_total", {},
@@ -503,11 +503,10 @@ Result<ValueVectorSet> OrderedDistinctProjection(
                         OrderedProjectionIndexes(table, attributes));
   ValueVectorSet distinct;
   distinct.reserve(table.num_rows());
-  for (const ValueVector& row : table.rows()) {
+  DBRE_RETURN_IF_ERROR(table.ForEachRow([&](const ValueVector& row) {
     ValueVector projected = Table::ProjectRow(row, indexes);
-    if (HasNull(projected)) continue;
-    distinct.insert(std::move(projected));
-  }
+    if (!HasNull(projected)) distinct.insert(std::move(projected));
+  }));
   return distinct;
 }
 
@@ -554,12 +553,14 @@ Result<bool> InclusionHolds(const Database& database,
       naive::OrderedDistinctProjection(*rhs, rhs_attributes));
   DBRE_ASSIGN_OR_RETURN(std::vector<size_t> lhs_indexes,
                         OrderedProjectionIndexes(*lhs, lhs_attributes));
-  for (const ValueVector& row : lhs->rows()) {
+  bool included = true;
+  DBRE_RETURN_IF_ERROR(lhs->ForEachRow([&](const ValueVector& row) {
     ValueVector projected = Table::ProjectRow(row, lhs_indexes);
-    if (HasNull(projected)) continue;
-    if (!rhs_values.contains(projected)) return false;
-  }
-  return true;
+    if (!HasNull(projected) && !rhs_values.contains(projected)) {
+      included = false;
+    }
+  }));
+  return included;
 }
 
 Result<bool> FunctionalDependencyHolds(const Table& table,
@@ -574,14 +575,15 @@ Result<bool> FunctionalDependencyHolds(const Table& table,
                         table.ProjectionIndexes(rhs));
   std::unordered_map<ValueVector, ValueVector, ValueVectorHash> witness;
   witness.reserve(table.num_rows());
-  for (const ValueVector& row : table.rows()) {
+  bool holds = true;
+  DBRE_RETURN_IF_ERROR(table.ForEachRow([&](const ValueVector& row) {
     ValueVector key = Table::ProjectRow(row, lhs_indexes);
-    if (HasNull(key)) continue;
+    if (HasNull(key)) return;
     ValueVector dependent = Table::ProjectRow(row, rhs_indexes);
     auto [it, inserted] = witness.try_emplace(std::move(key), dependent);
-    if (!inserted && it->second != dependent) return false;
-  }
-  return true;
+    if (!inserted && it->second != dependent) holds = false;
+  }));
+  return holds;
 }
 
 Result<double> FunctionalDependencyError(const Table& table,
@@ -601,12 +603,12 @@ Result<double> FunctionalDependencyError(const Table& table,
                      ValueVectorHash>
       groups;
   size_t total = 0;
-  for (const ValueVector& row : table.rows()) {
+  DBRE_RETURN_IF_ERROR(table.ForEachRow([&](const ValueVector& row) {
     ValueVector key = Table::ProjectRow(row, lhs_indexes);
-    if (HasNull(key)) continue;
+    if (HasNull(key)) return;
     ++total;
     ++groups[std::move(key)][Table::ProjectRow(row, rhs_indexes)];
-  }
+  }));
   if (total == 0) return 0.0;
   size_t kept = 0;
   for (const auto& [key, counts] : groups) {

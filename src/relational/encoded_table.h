@@ -1,126 +1,206 @@
-// Dictionary-encoded columnar image of a Table.
+// Dictionary-encoded columns: the storage of every table extension.
 //
 // Every extension query the elicitation algorithms issue (‖r[X]‖ distinct
 // counts, set intersections, FD checks) boils down to grouping and comparing
-// projected sub-rows. Doing that over heap-allocated `ValueVector`s — a
-// `std::variant` per cell, a `std::vector` per sub-row — dominates the run
-// time. An `EncodedTable` translates each column once into dense `uint32_t`
-// codes (equal values ⇔ equal codes, NULL ⇔ `kNullCode`), after which every
-// query primitive runs over flat integer arrays with no per-row allocation.
+// projected sub-rows, so a table keeps no rows at all: each attribute is an
+// `EncodedColumn` of dense `uint32_t` codes (equal values ⇔ equal codes,
+// NULL ⇔ `kNullCode`) plus the dictionary the codes index, and every query
+// primitive runs over flat integer arrays with no per-row allocation.
 //
-// Columns encode lazily, on first EnsureColumn, so a table whose extension
-// is only ever queried on a few attributes (IND-Discovery touches join
-// columns only) never pays for the rest. The encoder pins the table's
-// shared row storage, so an encoding stays valid even if the originating
-// Table is mutated (it detaches, copy-on-write) or destroyed.
+// The canonical-encoding invariant. A column always equals a cold
+// first-appearance encode of its values: codes are numbered in row order of
+// first appearance, every dictionary entry is used by some row, and
+// `has_null` / `typed` are exact. Appends keep it by construction; the
+// rewriting mutations (UPDATE, DELETE) restore it with one integer
+// renumbering pass (Canonicalize). Consequences the rest of the system
+// relies on: ‖r[A]‖ is the dictionary size; the encoding is a pure function
+// of the extension, so re-encoding a cloned table yields byte-identical
+// columns (the determinism guarantee of the parallel discovery paths); two
+// extensions are equal exactly when their codes and dictionaries are; and a
+// snapshot (src/store/) is the columns written out verbatim.
 //
-// Codes are assigned in first-appearance (row) order, so an encoding is a
-// pure function of the extension and re-encoding a cloned table yields
-// byte-identical code columns — the determinism guarantee the parallel
-// discovery paths rely on. The per-column dictionary build dispatches on
-// the declared attribute type (flat int64/double/bool/string_view hash maps)
-// and falls back to generic Value hashing on any tag mismatch.
+// Residency. A column is either resident (codes and dictionary in memory)
+// or paged: its codes and dictionary live in a read-only PagedSource
+// (relational/paged_source.h) behind a buffer pool. Snapshot codes were
+// written from canonical columns, so both residencies hold byte-identical
+// codes and dictionaries, and every consumer that reads through
+// codes_reader()/DecodeValue()/RowReader computes the same answer in both.
 //
-// An encoded column is immutable once ready. `Table` builds an EncodedTable
-// lazily inside its QueryCache and drops it on any mutation (see
-// Table::query_cache); nothing here watches for changes.
-//
-// Paged mode: an EncodedTable can instead wrap a read-only PagedSource
-// (relational/paged_source.h) whose codes and dictionaries live on disk
-// behind a buffer pool. Snapshot codes were assigned by this encoder in
-// first-appearance order, so the paged code stream and dictionary are
-// byte-identical to what re-encoding the materialized rows would produce —
-// every consumer that migrates to codes_reader()/DecodeValue() computes
-// the same answer in both modes. Small dictionaries (<=
-// kPagedDictMaterializeLimit entries) are materialized at EnsureColumn so
-// hot Decode loops stay in memory; larger ones stream through the pool.
+// `EncodedTable` is the immutable query-time view of one table's columns
+// that a QueryCache owns: it shares the columns (no copy) and, for paged
+// columns, materializes small dictionaries (<= kPagedDictMaterializeLimit
+// entries) at EnsureColumn so hot Decode loops stay in memory; larger ones
+// stream through the pool.
 #ifndef DBRE_RELATIONAL_ENCODED_TABLE_H_
 #define DBRE_RELATIONAL_ENCODED_TABLE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/status.h"
 #include "relational/paged_source.h"
 #include "relational/value.h"
 
 namespace dbre {
 
-class Table;
+// Value → code lookup over one resident column's dictionary, for appends
+// and UPDATE literals. Open addressing with linear probing over (64-bit
+// key, code) slots; the key is the value itself for int64/double/bool
+// columns (so a key match is a value match) and a hash for text and
+// untyped columns (a key match is then confirmed against the dictionary).
+// Grows by doubling; EncodedColumn pre-sizes it for a bulk load.
+class DictionaryIndex {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  // Whether the index has been built (an unbuilt index is rebuilt from the
+  // dictionary on first use).
+  bool built() const { return !slots_.empty(); }
+  size_t size() const { return size_; }
+  // Whether the next insert grows the slot array.
+  bool full() const { return (size_ + 1) * 3 > slots_.size() * 2; }
+  void Reset();
+  void Reserve(size_t entries);
+
+  // The code stored under `key` for which `same(code)` holds, inserting
+  // `fresh` when there is none (and then returning `fresh`).
+  template <typename Same>
+  uint32_t FindOrInsert(uint64_t key, uint32_t fresh, const Same& same);
+
+  size_t bytes() const { return slots_.capacity() * sizeof(Slot); }
+
+  void Prefetch(uint64_t key) const {
+    if (built()) __builtin_prefetch(slots_.data() + Start(key));
+  }
+
+ private:
+  // Key and code side by side: a probe touches one cache line.
+  struct Slot {
+    uint64_t key = 0;
+    uint32_t code = kAbsent;  // kAbsent marks an empty slot
+  };
+
+  size_t Start(uint64_t key) const {
+    return static_cast<size_t>((key * flat_hash_internal::kMultiplier) >>
+                               shift_);
+  }
+  void Grow(size_t capacity);
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
+  int shift_ = 64;
+};
+
+// One attribute's extension. Copying a column copies its codes, dictionary
+// and index; tables share columns through shared_ptr and copy one only
+// when a mutation rewrites it.
+struct EncodedColumn {
+  // Code reserved for NULL cells; never a dictionary index.
+  static constexpr uint32_t kNullCode = UINT32_MAX;
+
+  DataType type = DataType::kInt64;  // the attribute's declared type
+  std::vector<uint32_t> codes;       // one per row (resident)
+  std::vector<Value> dictionary;     // code → value (resident)
+  // Exact in both residencies (a paged column copies its source's flags).
+  bool has_null = false;
+  bool typed = true;  // every non-NULL cell matches the declared type
+
+  // Paged residency: the column is `source_column` of `source`.
+  std::shared_ptr<const PagedSource> source;
+  uint32_t source_column = 0;
+
+  DictionaryIndex index;  // resident only; built on demand
+
+  bool paged() const { return source != nullptr; }
+  uint32_t dict_size() const {
+    return paged() ? source->dict_size(source_column)
+                   : static_cast<uint32_t>(dictionary.size());
+  }
+
+  // Copies a paged column's codes and dictionary out of the pool (requires
+  // paged()). Aborts on a pool read failure (the contract of
+  // relational/paged_source.h).
+  void MakeResident();
+
+  // The code of `value` (kNullCode for NULL), appending it to the
+  // dictionary under the next code when unseen. Resident only; `key` is
+  // its PrefetchKey when already known.
+  uint32_t Intern(Value&& value, const uint64_t* key = nullptr);
+
+  // The index key Intern(value) will probe, with its slot prefetched: a
+  // row append computes these for every column first, so the row's probes
+  // (random accesses into large indexes) overlap instead of queueing.
+  uint64_t PrefetchKey(const Value& value) const;
+
+  // Appends one cell whose PrefetchKey is `key`, keeping the invariant by
+  // construction.
+  void Append(Value&& value, uint64_t key) {
+    codes.push_back(Intern(std::move(value), &key));
+  }
+
+  // Restores the invariant after codes were overwritten or removed:
+  // renumbers codes into first-appearance order, drops unused entries and
+  // recomputes has_null and typed — integer work only. A renumbered
+  // column's index is rebuilt on its next Intern.
+  void Canonicalize();
+
+  // Heap bytes of a resident column: codes, dictionary (with string
+  // payloads) and index. A paged column costs only its handle.
+  size_t ApproximateBytes() const;
+
+ private:
+  uint64_t KeyOf(const Value& value) const;
+  void EnsureIndex() {
+    if (!index.built()) RebuildIndex();
+  }
+  void RebuildIndex();
+};
 
 class EncodedTable {
  public:
-  // Code reserved for NULL cells; never a dictionary index.
-  static constexpr uint32_t kNullCode = UINT32_MAX;
+  static constexpr uint32_t kNullCode = EncodedColumn::kNullCode;
 
   // Paged dictionaries up to this many entries are materialized in memory
   // at EnsureColumn; larger ones stay on disk and stream on demand.
   static constexpr uint32_t kPagedDictMaterializeLimit = 4096;
 
-  // An empty encoding over the given row storage; columns encode on demand.
-  // Precondition: rows->size() < kNullCode (so no dictionary can overflow;
-  // Table::query_cache() checks this once).
-  EncodedTable(std::shared_ptr<const std::vector<ValueVector>> rows,
-               std::vector<DataType> types);
+  // A view over `columns` (one per attribute), each holding `num_rows`
+  // rows. The columns must not change while the view exists; tables
+  // replace a column rather than mutate one that is shared.
+  EncodedTable(std::vector<std::shared_ptr<const EncodedColumn>> columns,
+               size_t num_rows);
 
-  // A paged encoding: logical column `c` reads physical column
-  // `column_map[c]` of `source`. No rows are materialized, ever.
-  EncodedTable(std::shared_ptr<const PagedSource> source,
-               std::vector<DataType> types, std::vector<uint32_t> column_map);
-
-  // Eagerly encodes every column of `table`. Fails only if the extension
-  // holds kNullCode rows or more (not reachable in memory).
-  static Result<EncodedTable> Build(const Table& table);
-
-  size_t num_rows() const {
-    return paged_ != nullptr ? paged_->num_rows() : rows_->size();
-  }
+  size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
 
-  bool paged() const { return paged_ != nullptr; }
-  const std::shared_ptr<const PagedSource>& paged_source() const {
-    return paged_;
-  }
-  // Physical source column behind logical column `c` (paged mode only).
-  uint32_t paged_column(size_t c) const { return paged_columns_[c]; }
+  const EncodedColumn& column(size_t c) const { return *columns_[c]; }
 
-  // Encodes column `c` if it is not ready yet. Idempotent, NOT thread-safe:
-  // QueryCache serializes calls under its mutex, and every reader of
-  // codes()/Decode() goes through a locked ensure first.
+  // Prepares column `c` for Decode (materializes a small paged
+  // dictionary). Idempotent, NOT thread-safe: QueryCache serializes calls
+  // under its mutex, and every reader of Decode() goes through a locked
+  // ensure first.
   void EnsureColumn(size_t c);
 
-  // Encodes column `c` by extending `base`'s ready encoding over this
-  // table's longer row storage: the first `base_rows` codes are copied and
-  // appended rows continue first-appearance code assignment against the
-  // base dictionary. Because codes are a pure function of the extension
-  // prefix, the result is byte-identical to a cold EnsureColumn over the
-  // full extension — the delta path's correctness hinge. Requires
-  // !paged(), !base.paged(), base.column_ready(c), and that this table's
-  // first `base_rows` rows equal base's rows (append-only mutation over
-  // shared storage).
-  void ExtendColumnFrom(const EncodedTable& base, size_t c, size_t base_rows);
-
-  bool column_ready(size_t c) const { return columns_[c].ready; }
-
   // The declared attribute type of column `c`.
-  DataType declared_type(size_t c) const { return types_[c]; }
+  DataType declared_type(size_t c) const { return columns_[c]->type; }
 
   // Whether every non-NULL cell of `c` matched the declared type, i.e. the
   // dictionary is homogeneous and typed cross-table comparison is valid.
-  // Requires column_ready(c).
-  bool column_typed(size_t c) const { return columns_[c].typed; }
+  bool column_typed(size_t c) const { return columns_[c]->typed; }
 
-  // Dense codes of column `c`, one per row. Requires column_ready(c) and
-  // !paged() — paged consumers stream through codes_reader() instead.
+  // Dense codes of column `c`, one per row. Requires a resident column —
+  // paged consumers stream through codes_reader() instead.
   const std::vector<uint32_t>& codes(size_t c) const {
-    return columns_[c].codes;
+    return columns_[c]->codes;
   }
 
-  // Mode-agnostic code access. In-memory mode serves pointers straight
-  // into the code vector; paged mode streams pages through a cursor.
-  // Fetch's pointer is valid until the next Fetch/At on the same reader;
-  // `count` must not exceed column_batch.h's kBatchSize.
+  // Residency-agnostic code access. Resident columns serve pointers
+  // straight into the code vector; paged ones stream pages through a
+  // cursor. Fetch's pointer is valid until the next Fetch/At on the same
+  // reader; `count` must not exceed column_batch.h's kBatchSize.
   class CodeReader {
    public:
     explicit CodeReader(const uint32_t* codes) : codes_(codes) {}
@@ -140,45 +220,42 @@ class EncodedTable {
     std::unique_ptr<PagedCodeCursor> cursor_;
   };
 
-  // A reader over column `c`'s codes. Requires column_ready(c).
+  // A reader over column `c`'s codes.
   CodeReader codes_reader(size_t c) const;
 
   // Number of distinct non-NULL values in column `c` (codes are
-  // 0..dict_size-1). Requires column_ready(c).
-  size_t dict_size(size_t c) const { return columns_[c].dict_count; }
+  // 0..dict_size-1).
+  size_t dict_size(size_t c) const { return columns_[c]->dict_size(); }
 
-  bool has_null(size_t c) const { return columns_[c].has_null; }
+  bool has_null(size_t c) const { return columns_[c]->has_null; }
 
-  // Whether column `c`'s dictionary is materialized in memory (always in
-  // in-memory mode; paged mode only up to kPagedDictMaterializeLimit).
+  // Whether column `c`'s dictionary is in memory (always for resident
+  // columns; paged ones only up to kPagedDictMaterializeLimit, after
+  // EnsureColumn).
   bool dict_resident(size_t c) const {
-    return columns_[c].dictionary.size() == columns_[c].dict_count;
+    return !columns_[c]->paged() || paged_dicts_[c].size() == dict_size(c);
   }
 
-  // The value a code stands for. Requires column_ready(c) and
+  // The value a code stands for. Requires EnsureColumn(c) and
   // dict_resident(c).
   const Value& Decode(size_t c, uint32_t code) const {
-    return columns_[c].dictionary[code];
+    return columns_[c]->paged() ? paged_dicts_[c][code]
+                                : columns_[c]->dictionary[code];
   }
 
-  // The value a code stands for, in either mode; non-resident paged
-  // dictionaries read through the buffer pool. Requires column_ready(c).
+  // The value a code stands for, in either residency; non-resident paged
+  // dictionaries read through the buffer pool.
   Value DecodeValue(size_t c, uint32_t code) const;
 
-  // Streams column `c`'s dictionary in code order. Requires
-  // column_ready(c).
+  // Streams column `c`'s dictionary in code order.
   Status ForEachDictValue(
       size_t c,
       const std::function<void(uint32_t code, const Value& value)>& fn) const;
 
-  // Materializes the sub-row of `row` projected on `columns` (NULL cells
-  // come back as NULL values). Requires every projected column ready and
-  // !paged(); paged consumers use a RowReader.
-  ValueVector DecodeRow(size_t row, const std::vector<size_t>& columns) const;
-
-  // Mode-agnostic row projection: decodes the sub-row of `row` on the
-  // columns fixed at construction. Rows read in increasing order stay
-  // page-local in paged mode.
+  // Residency-agnostic row projection: decodes the sub-row of `row` on
+  // the columns fixed at construction (NULL cells come back as NULL
+  // values). Rows read in increasing order stay page-local when paged.
+  // Requires EnsureColumn on every projected column first.
   class RowReader {
    public:
     RowReader(const EncodedTable* encoded, std::vector<size_t> columns);
@@ -190,32 +267,34 @@ class EncodedTable {
     const EncodedTable* encoded_;
     std::vector<size_t> columns_;
     std::vector<CodeReader> readers_;
+    // In-memory dictionary per column; nullptr streams through the pool.
+    std::vector<const Value*> dictionaries_;
   };
   RowReader row_reader(std::vector<size_t> columns) const {
     return RowReader(this, std::move(columns));
   }
 
  private:
-  struct Column {
-    std::vector<uint32_t> codes;    // per row (in-memory mode)
-    std::vector<Value> dictionary;  // code → value, when resident
-    uint32_t dict_count = 0;        // distinct non-NULL values
-    bool has_null = false;
-    bool ready = false;
-    bool typed = false;  // declared-type encode succeeded
-  };
-
-  // Type-specialized dictionary build; false if a non-NULL cell's tag does
-  // not match the declared type (the generic path then takes over).
-  bool EncodeDeclared(size_t c, Column* column);
-  void EncodeGeneric(size_t c, Column* column);
-
-  std::shared_ptr<const std::vector<ValueVector>> rows_;
-  std::vector<DataType> types_;
-  std::vector<Column> columns_;
-  std::shared_ptr<const PagedSource> paged_;
-  std::vector<uint32_t> paged_columns_;
+  std::vector<std::shared_ptr<const EncodedColumn>> columns_;
+  size_t num_rows_ = 0;
+  std::vector<uint8_t> ready_;
+  std::vector<std::vector<Value>> paged_dicts_;  // materialized, paged only
 };
+
+template <typename Same>
+uint32_t DictionaryIndex::FindOrInsert(uint64_t key, uint32_t fresh,
+                                       const Same& same) {
+  // Load factor at most 2/3, as in common/flat_hash.h.
+  if (full()) Grow(slots_.empty() ? 16 : slots_.size() * 2);
+  const size_t mask = slots_.size() - 1;
+  size_t i = Start(key);
+  for (; slots_[i].code != kAbsent; i = (i + 1) & mask) {
+    if (slots_[i].key == key && same(slots_[i].code)) return slots_[i].code;
+  }
+  slots_[i] = Slot{key, fresh};
+  ++size_;
+  return fresh;
+}
 
 }  // namespace dbre
 

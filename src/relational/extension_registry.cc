@@ -86,7 +86,7 @@ uint64_t ExtensionRegistry::ComputeFingerprint(const Table& table) {
     fnv.Byte(static_cast<unsigned char>(attribute.type));
   }
   fnv.U64(table.num_rows());
-  for (const ValueVector& row : table.rows()) {
+  (void)table.ForEachRow([&fnv](const ValueVector& row) {
     for (const Value& value : row) {
       if (value.is_null()) {
         fnv.Byte(0);
@@ -104,7 +104,7 @@ uint64_t ExtensionRegistry::ComputeFingerprint(const Table& table) {
         fnv.Str(value.as_text());
       }
     }
-  }
+  });
   return fnv.h;
 }
 

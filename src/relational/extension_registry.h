@@ -2,16 +2,15 @@
 //
 // Many dbred sessions reverse-engineer the same legacy database: each one
 // loads the same DDL and the same CSV extensions into its own catalog. The
-// expensive artifacts — the copy-on-write row storage, the dictionary
-// encodings and every memoized partition in the `QueryCache` — depend only
-// on the extension's content, so the registry interns tables by a content
-// fingerprint: the first session to load an extension donates its storage
-// and cache, and every later identical load adopts them via
-// `Table::AdoptSharedExtension` (one shared_ptr swap; the rows just loaded
-// are freed). Partitions computed by any session's pipeline then serve all
-// of them.
+// expensive artifacts — the copy-on-write encoded columns and every
+// memoized partition in the `QueryCache` — depend only on the extension's
+// content, so the registry interns tables by a content fingerprint: the
+// first session to load an extension donates its storage and cache, and
+// every later identical load adopts them via `Table::AdoptSharedExtension`
+// (a swap of column pointers; the columns just loaded are freed).
+// Partitions computed by any session's pipeline then serve all of them.
 //
-// Thread safe; entries are cheap (a Table copy shares rows and cache) and
+// Thread safe; entries are cheap (a Table copy shares columns and cache) and
 // bounded by `max_entries` with FIFO eviction — eviction only drops the
 // registry's reference, never a live session's.
 #ifndef DBRE_RELATIONAL_EXTENSION_REGISTRY_H_
@@ -55,10 +54,10 @@ class ExtensionRegistry {
   // Intern with a fingerprint the caller already knows — the snapshot load
   // path (src/store/) reads it from a checksummed footer instead of
   // re-hashing every row. The fingerprint is only a bucket key: storage is
-  // shared exclusively after AdoptSharedExtension verified byte equality of
-  // the column layout and every row, so a wrong (or adversarially colliding)
-  // fingerprint can cost a cache miss but never aliases distinct
-  // extensions. Doubles as the forced-collision test hook.
+  // shared exclusively after AdoptSharedExtension verified equality of the
+  // column layout and every column's codes and dictionary, so a wrong (or
+  // adversarially colliding) fingerprint can cost a cache miss but never
+  // aliases distinct extensions. Doubles as the forced-collision test hook.
   bool InternPrecomputed(Table* table, uint64_t fingerprint);
 
   // The content fingerprint Intern buckets by: FNV-1a over the column
@@ -76,7 +75,7 @@ class ExtensionRegistry {
   // The canonical copy's query cache is the sharing token — Intern
   // materializes it before donating and every adopter holds the same
   // shared_ptr — so a use count of one means the last referencing session
-  // closed and the storage (rows, dictionaries, memoized partitions,
+  // closed and the storage (columns, memoized partitions,
   // paged-source handle) can be returned. Called by the session manager
   // after each session close; returns the number of entries released. The
   // dbre_extension_registry_{live_entries,resident_bytes} gauges track the

@@ -3,17 +3,22 @@
 // A PagedSource is a read-only, dictionary-encoded column store whose
 // backing bytes live on disk behind a buffer pool (src/pagestore/). The
 // relational layer never sees pages: it sees per-column dictionaries and
-// code streams through the three interfaces below, and `EncodedTable`
-// wraps them so QueryCache / algebra / the SQL executor run the same
-// algorithms over paged and in-memory extensions — with byte-identical
-// results, enforced by the paged crosscheck tests.
+// code streams through the three interfaces below. A table's paged
+// columns (`EncodedColumn` with a source, relational/encoded_table.h)
+// hold the same canonical codes and dictionaries a resident column would,
+// so QueryCache / algebra / the SQL executor run the same algorithms over
+// both residencies — with byte-identical results, enforced by the paged
+// crosscheck tests. A mutation copies a paged column out into a resident
+// one; nothing ever writes through a source.
 //
 // Layering: this header lives in relational/ so relational code can hold
 // and consume paged sources without depending on pagestore (which itself
 // links relational for Value). pagestore implements the interfaces.
 //
 // Error contract: a source is fully verified when it is opened (every
-// checksum of every page), so steady-state reads of an open source fail
+// checksum of every page, and every code page held to the canonical
+// encoding, so no code indexes past its dictionary), so steady-state
+// reads of an open source fail
 // only on real environment faults (disk death, truncation underneath a
 // live file). Cursors therefore fail fast — transient I/O errors are
 // retried inside the buffer pool; a persistent failure aborts the process

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <numeric>
 #include <unordered_map>
 
 #include "obs/metrics.h"
@@ -78,8 +79,9 @@ class GroupTable {
   }
 
  private:
-  // Group ids are at most the row count, which Table::query_cache() caps
-  // below kNullCode == UINT32_MAX, so the sentinel never collides.
+  // Group ids are at most the row count, which Table::Insert (and the
+  // snapshot loaders) cap below kNullCode == UINT32_MAX, so the sentinel
+  // never collides.
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
   size_t Start(uint64_t hash) const {
@@ -93,76 +95,35 @@ class GroupTable {
 
 }  // namespace
 
-std::unique_ptr<QueryCache> QueryCache::BuildDelta(
-    QueryCache& base, size_t base_rows,
-    std::shared_ptr<const std::vector<ValueVector>> rows,
-    std::vector<DataType> types,
-    const std::vector<size_t>& updated_columns) {
-  static const HitMiss counters = CacheCounters("delta_build");
-  auto cache = std::make_unique<QueryCache>(
-      EncodedTable(std::move(rows), std::move(types)));
-  const size_t new_rows = cache->encoded_.num_rows();
-  const auto touched = [&updated_columns](size_t c) {
-    return std::binary_search(updated_columns.begin(), updated_columns.end(),
-                              c);
+QueryCache::Memos QueryCache::MemosAvoiding(
+    const std::vector<size_t>& rewritten) {
+  const auto avoids = [&rewritten](const std::vector<size_t>& columns) {
+    return std::none_of(columns.begin(), columns.end(), [&](size_t c) {
+      return std::binary_search(rewritten.begin(), rewritten.end(), c);
+    });
   };
-  std::lock_guard<std::mutex> lock(base.mutex_);
-  if (base.encoded_.paged() || new_rows < base_rows) {
-    // Nothing reusable: a paged base has no in-memory codes to extend, and
-    // a shrunk extension invalidates row-positional state wholesale. The
-    // fresh cache encodes cold on demand.
-    counters.Count(false);
-    return cache;
-  }
-  counters.Count(true);
-  for (size_t c = 0; c < cache->encoded_.num_columns(); ++c) {
-    if (touched(c) || c >= base.encoded_.num_columns()) continue;
-    if (!base.encoded_.column_ready(c)) continue;
-    cache->encoded_.ExtendColumnFrom(base.encoded_, c, base_rows);
-  }
-  if (new_rows != base_rows) return cache;
-  // Pure in-place update: row count and untouched columns are unchanged,
-  // so every memo keyed only by untouched columns is still exact. (With
-  // appended rows none carry over — partitions are row-positional and the
-  // single-column NULL group id shifts when the dictionary grows.)
-  const auto untouched = [&](const std::vector<size_t>& columns) {
-    for (size_t c : columns) {
-      if (touched(c)) return false;
+  const auto copy = [](const auto& from, auto* to, const auto& keep) {
+    for (const auto& entry : from) {
+      if (keep(entry.first)) to->insert(entry);
     }
-    return true;
   };
-  for (const auto& [key, value] : base.partitions_) {
-    if (untouched(key.first)) cache->partitions_.emplace(key, value);
-  }
-  for (const auto& [key, value] : base.distinct_sets_) {
-    if (untouched(key)) cache->distinct_sets_.emplace(key, value);
-  }
-  for (const auto& [key, value] : base.dictionary_sets_) {
-    if (!touched(key)) cache->dictionary_sets_.emplace(key, value);
-  }
-  for (const auto& [key, value] : base.int64_dictionary_sets_) {
-    if (!touched(key)) cache->int64_dictionary_sets_.emplace(key, value);
-  }
-  for (const auto& [key, value] : base.dictionary_keys_) {
-    if (!touched(key)) cache->dictionary_keys_.emplace(key, value);
-  }
-  for (const auto& [key, value] : base.column_sketches_) {
-    if (!touched(key)) cache->column_sketches_.emplace(key, value);
-  }
-  for (const auto& [key, value] : base.projection_sketches_) {
-    if (untouched(key)) cache->projection_sketches_.emplace(key, value);
-  }
-  for (const auto& [key, value] : base.fd_verdicts_) {
-    if (untouched(key.first) && untouched(key.second)) {
-      cache->fd_verdicts_.emplace(key, value);
-    }
-  }
-  for (const auto& [key, value] : base.fd_errors_) {
-    if (untouched(key.first) && untouched(key.second)) {
-      cache->fd_errors_.emplace(key, value);
-    }
-  }
-  return cache;
+  const auto one = [&](size_t c) { return avoids({c}); };
+  const auto fd = [&](const FdKey& key) {
+    return avoids(key.first) && avoids(key.second);
+  };
+  std::lock_guard<std::mutex> lock(mutex_);
+  Memos kept;
+  copy(memos_.partitions, &kept.partitions,
+       [&](const PartitionKey& key) { return avoids(key.first); });
+  copy(memos_.distinct_sets, &kept.distinct_sets, avoids);
+  copy(memos_.dictionary_sets, &kept.dictionary_sets, one);
+  copy(memos_.int64_dictionary_sets, &kept.int64_dictionary_sets, one);
+  copy(memos_.dictionary_keys, &kept.dictionary_keys, one);
+  copy(memos_.column_sketches, &kept.column_sketches, one);
+  copy(memos_.projection_sketches, &kept.projection_sketches, avoids);
+  copy(memos_.fd_verdicts, &kept.fd_verdicts, fd);
+  copy(memos_.fd_errors, &kept.fd_errors, fd);
+  return kept;
 }
 
 std::shared_ptr<const CodePartition> QueryCache::BuildPartition(
@@ -281,6 +242,15 @@ void QueryCache::EnsureEncoded(const std::vector<size_t>& columns) {
   EnsureColumnsLocked(columns);
 }
 
+EncodedTable::RowReader QueryCache::ReadRows(std::vector<size_t> columns) {
+  if (columns.empty()) {
+    columns.resize(encoded_.num_columns());
+    std::iota(columns.begin(), columns.end(), size_t{0});
+  }
+  EnsureEncoded(columns);
+  return encoded_.row_reader(std::move(columns));
+}
+
 bool QueryCache::ColumnHasNull(size_t column) {
   std::lock_guard<std::mutex> lock(mutex_);
   encoded_.EnsureColumn(column);
@@ -290,15 +260,15 @@ bool QueryCache::ColumnHasNull(size_t column) {
 std::shared_ptr<const ValueSet> QueryCache::DictionarySet(size_t column) {
   static const HitMiss counters = CacheCounters("dictionary_set");
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = dictionary_sets_.find(column);
-  counters.Count(it != dictionary_sets_.end());
-  if (it != dictionary_sets_.end()) return it->second;
+  auto it = memos_.dictionary_sets.find(column);
+  counters.Count(it != memos_.dictionary_sets.end());
+  if (it != memos_.dictionary_sets.end()) return it->second;
   encoded_.EnsureColumn(column);
   auto set = std::make_shared<ValueSet>();
   set->reserve(encoded_.dict_size(column));
   CheckDictStream(encoded_.ForEachDictValue(
       column, [&set](uint32_t, const Value& value) { set->insert(value); }));
-  dictionary_sets_.emplace(column, set);
+  memos_.dictionary_sets.emplace(column, set);
   return set;
 }
 
@@ -306,9 +276,9 @@ std::shared_ptr<const FlatSet64> QueryCache::Int64DictionarySet(
     size_t column) {
   static const HitMiss counters = CacheCounters("int64_dictionary_set");
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = int64_dictionary_sets_.find(column);
-  counters.Count(it != int64_dictionary_sets_.end());
-  if (it != int64_dictionary_sets_.end()) return it->second;
+  auto it = memos_.int64_dictionary_sets.find(column);
+  counters.Count(it != memos_.int64_dictionary_sets.end());
+  if (it != memos_.int64_dictionary_sets.end()) return it->second;
   encoded_.EnsureColumn(column);
   if (encoded_.declared_type(column) != DataType::kInt64 ||
       !encoded_.column_typed(column)) {
@@ -319,7 +289,7 @@ std::shared_ptr<const FlatSet64> QueryCache::Int64DictionarySet(
       column, [&set](uint32_t, const Value& value) {
         set->Insert(static_cast<uint64_t>(value.as_int()));
       }));
-  int64_dictionary_sets_.emplace(column, set);
+  memos_.int64_dictionary_sets.emplace(column, set);
   return set;
 }
 
@@ -328,13 +298,13 @@ std::shared_ptr<const CodePartition> QueryCache::Partition(
   static const HitMiss counters = CacheCounters("partition");
   PartitionKey key(columns, static_cast<int>(policy));
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = partitions_.find(key);
-  counters.Count(it != partitions_.end());
-  if (it != partitions_.end()) return it->second;
+  auto it = memos_.partitions.find(key);
+  counters.Count(it != memos_.partitions.end());
+  if (it != memos_.partitions.end()) return it->second;
   EnsureColumnsLocked(columns);
   std::shared_ptr<const CodePartition> partition =
       BuildPartition(columns, policy);
-  partitions_.emplace(std::move(key), partition);
+  memos_.partitions.emplace(std::move(key), partition);
   return partition;
 }
 
@@ -353,9 +323,9 @@ std::shared_ptr<const ValueVectorSet> QueryCache::DistinctProjection(
   std::shared_ptr<const CodePartition> partition =
       Partition(columns, NullPolicy::kSkipNullRows);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = distinct_sets_.find(columns);
-  counters.Count(it != distinct_sets_.end());
-  if (it != distinct_sets_.end()) return it->second;
+  auto it = memos_.distinct_sets.find(columns);
+  counters.Count(it != memos_.distinct_sets.end());
+  if (it != memos_.distinct_sets.end()) return it->second;
   auto set = std::make_shared<ValueVectorSet>();
   set->reserve(partition->num_groups());
   EncodedTable::RowReader reader =
@@ -365,7 +335,7 @@ std::shared_ptr<const ValueVectorSet> QueryCache::DistinctProjection(
     reader.Read(row, &sub_row);
     set->insert(std::move(sub_row));
   }
-  distinct_sets_.emplace(columns, set);
+  memos_.distinct_sets.emplace(columns, set);
   return set;
 }
 
@@ -375,13 +345,13 @@ bool QueryCache::FdHolds(const std::vector<size_t>& lhs_columns,
   const FdKey key(lhs_columns, rhs_columns);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = fd_verdicts_.find(key);
-    counters.Count(it != fd_verdicts_.end());
-    if (it != fd_verdicts_.end()) return it->second;
+    auto it = memos_.fd_verdicts.find(key);
+    counters.Count(it != memos_.fd_verdicts.end());
+    if (it != memos_.fd_verdicts.end()) return it->second;
   }
   const bool verdict = ComputeFdHolds(lhs_columns, rhs_columns);
   std::lock_guard<std::mutex> lock(mutex_);
-  fd_verdicts_.emplace(key, verdict);
+  memos_.fd_verdicts.emplace(key, verdict);
   return verdict;
 }
 
@@ -458,13 +428,13 @@ double QueryCache::FdError(const std::vector<size_t>& lhs_columns,
   const FdKey key(lhs_columns, rhs_columns);
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = fd_errors_.find(key);
-    counters.Count(it != fd_errors_.end());
-    if (it != fd_errors_.end()) return it->second;
+    auto it = memos_.fd_errors.find(key);
+    counters.Count(it != memos_.fd_errors.end());
+    if (it != memos_.fd_errors.end()) return it->second;
   }
   const double error = ComputeFdError(lhs_columns, rhs_columns);
   std::lock_guard<std::mutex> lock(mutex_);
-  fd_errors_.emplace(key, error);
+  memos_.fd_errors.emplace(key, error);
   return error;
 }
 
@@ -510,9 +480,9 @@ double QueryCache::ComputeFdError(const std::vector<size_t>& lhs_columns,
 std::shared_ptr<const DictionaryKeys> QueryCache::DictKeys(size_t column) {
   static const HitMiss counters = CacheCounters("dict_keys");
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = dictionary_keys_.find(column);
-  counters.Count(it != dictionary_keys_.end());
-  if (it != dictionary_keys_.end()) return it->second;
+  auto it = memos_.dictionary_keys.find(column);
+  counters.Count(it != memos_.dictionary_keys.end());
+  if (it != memos_.dictionary_keys.end()) return it->second;
   encoded_.EnsureColumn(column);
   auto keys = std::make_shared<DictionaryKeys>();
   const size_t dict_size = encoded_.dict_size(column);
@@ -527,7 +497,7 @@ std::shared_ptr<const DictionaryKeys> QueryCache::DictKeys(size_t column) {
           keys->int64_keys.push_back(static_cast<uint64_t>(value.as_int()));
         }
       }));
-  dictionary_keys_.emplace(column, keys);
+  memos_.dictionary_keys.emplace(column, keys);
   return keys;
 }
 
@@ -536,9 +506,9 @@ std::shared_ptr<const ColumnSketch> QueryCache::ColumnSketchFor(
   static const HitMiss counters = CacheCounters("column_sketch");
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = column_sketches_.find(column);
-    counters.Count(it != column_sketches_.end());
-    if (it != column_sketches_.end()) return it->second;
+    auto it = memos_.column_sketches.find(column);
+    counters.Count(it != memos_.column_sketches.end());
+    if (it != memos_.column_sketches.end()) return it->second;
   }
   // Build outside the lock from the (memoized) flat keys, then publish.
   std::shared_ptr<const DictionaryKeys> keys = DictKeys(column);
@@ -548,14 +518,15 @@ std::shared_ptr<const ColumnSketch> QueryCache::ColumnSketchFor(
     sketch->hll.AddHash(h);
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  return column_sketches_.emplace(column, std::move(sketch)).first->second;
+  return memos_.column_sketches.emplace(column, std::move(sketch))
+      .first->second;
 }
 
 std::shared_ptr<const ColumnSketch> QueryCache::MaybeColumnSketch(
     size_t column) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = column_sketches_.find(column);
-  return it != column_sketches_.end() ? it->second : nullptr;
+  auto it = memos_.column_sketches.find(column);
+  return it != memos_.column_sketches.end() ? it->second : nullptr;
 }
 
 std::shared_ptr<const ProjectionSketch> QueryCache::ProjectionSketchFor(
@@ -563,9 +534,9 @@ std::shared_ptr<const ProjectionSketch> QueryCache::ProjectionSketchFor(
   static const HitMiss counters = CacheCounters("projection_sketch");
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = projection_sketches_.find(columns);
-    counters.Count(it != projection_sketches_.end());
-    if (it != projection_sketches_.end()) return it->second;
+    auto it = memos_.projection_sketches.find(columns);
+    counters.Count(it != memos_.projection_sketches.end());
+    if (it != memos_.projection_sketches.end()) return it->second;
   }
   // Per-column value-hash tables make the row-hash pass decode-free.
   std::vector<std::shared_ptr<const DictionaryKeys>> keys;
@@ -573,8 +544,8 @@ std::shared_ptr<const ProjectionSketch> QueryCache::ProjectionSketchFor(
   for (size_t c : columns) keys.push_back(DictKeys(c));
 
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = projection_sketches_.find(columns);
-  if (it != projection_sketches_.end()) return it->second;
+  auto it = memos_.projection_sketches.find(columns);
+  if (it != memos_.projection_sketches.end()) return it->second;
   const size_t num_rows = encoded_.num_rows();
   auto sketch = std::make_shared<ProjectionSketch>(num_rows);
   std::vector<EncodedTable::CodeReader> readers;
@@ -606,13 +577,13 @@ std::shared_ptr<const ProjectionSketch> QueryCache::ProjectionSketchFor(
     }
     batch::AddKernelRows(batch::Kernel::kPartition, count);
   }
-  return projection_sketches_.emplace(columns, std::move(sketch))
+  return memos_.projection_sketches.emplace(columns, std::move(sketch))
       .first->second;
 }
 
 bool QueryCache::HasDistinctProjection(const std::vector<size_t>& columns) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return distinct_sets_.find(columns) != distinct_sets_.end();
+  return memos_.distinct_sets.find(columns) != memos_.distinct_sets.end();
 }
 
 double QueryCache::EstimateDistinct(const std::vector<size_t>& columns) {
@@ -624,8 +595,8 @@ double QueryCache::EstimateDistinct(const std::vector<size_t>& columns) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     PartitionKey key(columns, static_cast<int>(NullPolicy::kSkipNullRows));
-    auto it = partitions_.find(key);
-    if (it != partitions_.end()) {
+    auto it = memos_.partitions.find(key);
+    if (it != memos_.partitions.end()) {
       return static_cast<double>(it->second->num_groups());
     }
   }

@@ -1,11 +1,11 @@
-// Memoized extension-query engine over a dictionary-encoded table.
+// Memoized extension-query engine over a table's encoded columns.
 //
 // The elicitation pipeline valuates the same handful of projections over and
 // over: IND-Discovery asks ‖r[A]‖ for every attribute list appearing in the
 // workload, RHS-Discovery re-groups by the same LHS for every candidate
 // dependent, and the miners walk overlapping attribute-set lattices. A
-// `QueryCache` owns one immutable `EncodedTable` and memoizes, per
-// `(column list, NULL policy)`:
+// `QueryCache` owns an `EncodedTable` view of the table's columns — shared,
+// never copied — and memoizes, per `(column list, NULL policy)`:
 //
 //   * `CodePartition` — the grouping of rows by their projected code tuple
 //     (TANE-style π_X, with singletons kept so |π_X| is exact);
@@ -23,12 +23,13 @@
 // dictionary against the other's memoized `ValueSet` (see DictionarySet).
 //
 // Thread safety: all entry points may be called concurrently; a single
-// internal mutex guards the memo tables and the lazy column encoder
-// (queries are per-projection, not per-row, so contention is negligible).
-// Reading encoded() directly is safe only for columns passed through a
-// locked ensure first (EnsureEncoded or any query over them). The cache
-// must not outlive a mutation of its source table — `Table::query_cache()`
-// enforces that by dropping the cache on every mutation.
+// internal mutex guards the memo tables and the lazy paged-dictionary
+// loads (queries are per-projection, not per-row, so contention is
+// negligible). Reading encoded() directly is safe only for columns passed
+// through a locked ensure first (EnsureEncoded or any query over them).
+// A cache never sees a mutation: a mutating Table drops its cache and
+// builds a new one, carrying over the memos the mutation could not have
+// changed (MemosAvoiding).
 #ifndef DBRE_RELATIONAL_QUERY_CACHE_H_
 #define DBRE_RELATIONAL_QUERY_CACHE_H_
 
@@ -116,35 +117,53 @@ struct JoinCountsValue {
 };
 
 class QueryCache {
+  using PartitionKey = std::pair<std::vector<size_t>, int>;
+  using FdKey = std::pair<std::vector<size_t>, std::vector<size_t>>;
+
  public:
-  explicit QueryCache(EncodedTable encoded) : encoded_(std::move(encoded)) {}
+  // Every memoized result, each a pure function of the extension and the
+  // column lists in its key. The cross-table join memo is not part of it:
+  // its keys are peer cache identities.
+  struct Memos {
+    std::map<PartitionKey, std::shared_ptr<const CodePartition>> partitions;
+    std::map<std::vector<size_t>, std::shared_ptr<const ValueVectorSet>>
+        distinct_sets;
+    std::map<size_t, std::shared_ptr<const ValueSet>> dictionary_sets;
+    std::map<size_t, std::shared_ptr<const FlatSet64>> int64_dictionary_sets;
+    std::map<size_t, std::shared_ptr<const DictionaryKeys>> dictionary_keys;
+    std::map<size_t, std::shared_ptr<const ColumnSketch>> column_sketches;
+    std::map<std::vector<size_t>, std::shared_ptr<const ProjectionSketch>>
+        projection_sketches;
+    // FD verdicts are pure functions of the extension and the two column
+    // lists (sketch gating changes the route, never the answer), so reruns
+    // skip the O(rows) refinement pass entirely.
+    std::map<FdKey, bool> fd_verdicts;
+    std::map<FdKey, double> fd_errors;
+  };
+
+  explicit QueryCache(EncodedTable encoded, Memos memos = {})
+      : encoded_(std::move(encoded)), memos_(std::move(memos)) {}
 
   QueryCache(const QueryCache&) = delete;
   QueryCache& operator=(const QueryCache&) = delete;
 
-  // Builds a cache over a mutated extension by reusing `base`'s work
-  // instead of starting cold. `rows` is the mutated storage whose first
-  // `base_rows` rows are byte-identical to base's on every column NOT in
-  // `updated_columns` (sorted schema indexes of in-place updated columns).
-  // Ready base encodings of untouched columns are extended over the
-  // appended suffix (EncodedTable::ExtendColumnFrom); when no rows were
-  // appended, memoized partitions/sets/sketches whose column sets avoid
-  // `updated_columns` carry over as shared pointers. The cross-table join
-  // memo never carries over (its keys are peer cache identities). Every
-  // observable answer of the returned cache is byte-identical to a cold
-  // build over `rows` — the incremental path's correctness hinge, proven
-  // by the table_mutation and incremental suites.
-  static std::unique_ptr<QueryCache> BuildDelta(
-      QueryCache& base, size_t base_rows,
-      std::shared_ptr<const std::vector<ValueVector>> rows,
-      std::vector<DataType> types, const std::vector<size_t>& updated_columns);
+  // The memos whose every column lies outside `rewritten` (sorted schema
+  // indexes), shared, not copied. An in-place UPDATE keeps the row count
+  // and every other column's codes, so these answers are still exact for
+  // the mutated extension — the carry-over rule the table_mutation and
+  // incremental suites prove byte-identical to a cold build.
+  Memos MemosAvoiding(const std::vector<size_t>& rewritten);
 
   // Readable for any column that has gone through a locked ensure (below).
   const EncodedTable& encoded() const { return encoded_; }
 
-  // Lazily encodes `columns`, after which encoded()'s code arrays and
-  // dictionaries for them may be read directly.
+  // Prepares `columns` (loads small paged dictionaries), after which
+  // encoded()'s code arrays and dictionaries for them may be read directly.
   void EnsureEncoded(const std::vector<size_t>& columns);
+
+  // A reader decoding rows projected on `columns` (every column when
+  // empty), prepared first — the one row path of both residencies.
+  EncodedTable::RowReader ReadRows(std::vector<size_t> columns = {});
 
   // Whether column `column` holds any NULL cell.
   bool ColumnHasNull(size_t column);
@@ -224,8 +243,6 @@ class QueryCache {
                        const JoinCountsValue& counts);
 
  private:
-  using PartitionKey = std::pair<std::vector<size_t>, int>;
-  using FdKey = std::pair<std::vector<size_t>, std::vector<size_t>>;
   using JoinMemoKey =
       std::tuple<const void*, std::vector<size_t>, std::vector<size_t>>;
   struct JoinMemoEntry {
@@ -241,25 +258,10 @@ class QueryCache {
   double ComputeFdError(const std::vector<size_t>& lhs_columns,
                         const std::vector<size_t>& rhs_columns);
 
-  EncodedTable encoded_;  // columns encode lazily under mutex_
+  EncodedTable encoded_;  // paged dictionaries load lazily under mutex_
   std::mutex mutex_;
-  std::map<PartitionKey, std::shared_ptr<const CodePartition>> partitions_;
-  std::map<std::vector<size_t>, std::shared_ptr<const ValueVectorSet>>
-      distinct_sets_;
-  std::map<size_t, std::shared_ptr<const ValueSet>> dictionary_sets_;
-  std::map<size_t, std::shared_ptr<const FlatSet64>> int64_dictionary_sets_;
-  std::map<size_t, std::shared_ptr<const DictionaryKeys>> dictionary_keys_;
-  std::map<size_t, std::shared_ptr<const ColumnSketch>> column_sketches_;
-  std::map<std::vector<size_t>, std::shared_ptr<const ProjectionSketch>>
-      projection_sketches_;
+  Memos memos_;
   std::map<JoinMemoKey, JoinMemoEntry> join_memo_;
-  // FD verdicts are pure functions of the extension and the two column
-  // lists (sketch gating changes the route, never the answer), so reruns
-  // skip the O(rows) refinement pass entirely. BuildDelta carries an entry
-  // over only when both sides avoid the updated columns — same rule as the
-  // partitions it was derived from.
-  std::map<FdKey, bool> fd_verdicts_;
-  std::map<FdKey, double> fd_errors_;
 };
 
 }  // namespace dbre

@@ -1,29 +1,55 @@
 #include "relational/table.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
-#include <numeric>
+#include <optional>
 
+#include "relational/column_batch.h"
 #include "relational/query_cache.h"
 
 namespace dbre {
 namespace {
 
-// Guards lazy cache construction across tables. Builds happen once per
-// table per load, so a single process-wide mutex never contends in practice
-// while keeping Table itself copyable (a per-table mutex would not be).
+// Guards lazy cache and rows-view construction across tables. Builds
+// happen once per table per load, so a single process-wide mutex never
+// contends in practice while keeping Table itself copyable (a per-table
+// mutex would not be).
 std::mutex g_query_cache_mutex;
+
+std::vector<std::shared_ptr<EncodedColumn>> EmptyColumns(
+    const RelationSchema& schema) {
+  std::vector<std::shared_ptr<EncodedColumn>> columns;
+  for (const Attribute& attribute : schema.attributes()) {
+    columns.emplace_back(std::make_shared<EncodedColumn>())->type =
+        attribute.type;
+  }
+  return columns;
+}
+
+// A cache over `columns`, starting from `memos`.
+std::shared_ptr<QueryCache> NewCache(
+    const std::vector<std::shared_ptr<EncodedColumn>>& columns,
+    size_t num_rows, QueryCache::Memos memos = {}) {
+  return std::make_shared<QueryCache>(
+      EncodedTable({columns.begin(), columns.end()}, num_rows),
+      std::move(memos));
+}
 
 }  // namespace
 
-void Table::DiePagedAccess(const char* what) {
-  std::fprintf(stderr,
-               "dbre: Table::%s called on a paged extension; row-shaped "
-               "consumers must read through the query cache\n",
-               what);
-  std::abort();
+Table::Table(RelationSchema schema)
+    : schema_(std::move(schema)), columns_(EmptyColumns(schema_)) {}
+
+const std::vector<ValueVector>& Table::rows() const {
+  std::lock_guard<std::mutex> lock(g_query_cache_mutex);
+  if (rows_view_ == nullptr) {
+    if (cache_ == nullptr) cache_ = NewCache(columns_, num_rows_);
+    auto view = std::make_shared<std::vector<ValueVector>>(num_rows_);
+    EncodedTable::RowReader reader = cache_->ReadRows();
+    for (size_t i = 0; i < num_rows_; ++i) reader.Read(i, &(*view)[i]);
+    rows_view_ = std::move(view);
+  }
+  return *rows_view_;
 }
 
 Status Table::AdoptPagedExtension(
@@ -45,158 +71,184 @@ Status Table::AdoptPagedExtension(
                                   " adopting paged extension");
     }
   }
-  std::lock_guard<std::mutex> lock(g_query_cache_mutex);
-  NoteStructural();
-  rows_ = std::make_shared<std::vector<ValueVector>>();
-  paged_ = std::move(source);
-  paged_columns_.resize(schema_.arity());
-  std::iota(paged_columns_.begin(), paged_columns_.end(), 0u);
+  std::vector<std::shared_ptr<EncodedColumn>> columns;
+  columns.reserve(schema_.arity());
+  for (size_t c = 0; c < schema_.arity(); ++c) {
+    auto& column = columns.emplace_back(std::make_shared<EncodedColumn>());
+    column->type = source->declared_type(c);
+    column->has_null = source->has_null(c);
+    column->typed = source->typed(c);
+    column->source = source;
+    column->source_column = static_cast<uint32_t>(c);
+  }
+  const size_t rows = source->num_rows();
+  Install(std::move(columns), rows, std::move(source));
   return Status::Ok();
+}
+
+Status Table::AdoptColumns(std::vector<EncodedColumn> columns,
+                           size_t num_rows) {
+  if (columns.size() != schema_.arity()) {
+    return InvalidArgumentError(
+        "arity mismatch adopting extension for " + schema_.name() + ": got " +
+        std::to_string(columns.size()) + ", want " +
+        std::to_string(schema_.arity()));
+  }
+  std::vector<std::shared_ptr<EncodedColumn>> adopted;
+  adopted.reserve(columns.size());
+  for (EncodedColumn& column : columns) {
+    if (column.paged() || column.codes.size() != num_rows ||
+        column.type != schema_.attributes()[adopted.size()].type) {
+      return InvalidArgumentError("column layout mismatch adopting extension "
+                                  "for " + schema_.name());
+    }
+    adopted.push_back(std::make_shared<EncodedColumn>(std::move(column)));
+  }
+  Install(std::move(adopted), num_rows, nullptr);
+  return Status::Ok();
+}
+
+void Table::Install(std::vector<std::shared_ptr<EncodedColumn>> columns,
+                    size_t num_rows, std::shared_ptr<const PagedSource> paged) {
+  std::lock_guard<std::mutex> lock(g_query_cache_mutex);
+  DropCache();
+  columns_ = std::move(columns);
+  num_rows_ = num_rows;
+  paged_ = std::move(paged);
 }
 
 Result<std::shared_ptr<QueryCache>> Table::query_cache() const {
   std::lock_guard<std::mutex> lock(g_query_cache_mutex);
-  if (cache_ == nullptr) {
-    if (num_rows() >= EncodedTable::kNullCode) {
-      return InternalError("extension too large to encode: " +
-                           schema_.name());
-    }
-    std::vector<DataType> types;
-    types.reserve(schema_.arity());
-    for (const Attribute& attribute : schema_.attributes()) {
-      types.push_back(attribute.type);
-    }
-    if (paged_ != nullptr) {
-      cache_ = std::make_shared<QueryCache>(
-          EncodedTable(paged_, std::move(types), paged_columns_));
-    } else if (delta_base_ != nullptr && rows_->size() >= delta_base_rows_) {
-      cache_ = QueryCache::BuildDelta(*delta_base_, delta_base_rows_,
-                                      shared_rows(), std::move(types),
-                                      delta_updated_columns_);
-    } else {
-      cache_ = std::make_shared<QueryCache>(
-          EncodedTable(shared_rows(), std::move(types)));
-    }
-    delta_base_.reset();
-    delta_base_rows_ = 0;
-    delta_updated_columns_.clear();
-    delta_pinned_rows_ = nullptr;
-  }
+  if (cache_ == nullptr) cache_ = NewCache(columns_, num_rows_);
   return cache_;
 }
 
-void Table::NoteAppend() {
-  if (delta_base_ == nullptr && cache_ != nullptr && paged_ == nullptr) {
-    delta_base_ = std::move(cache_);
-    delta_base_rows_ = rows_->size();
-    delta_updated_columns_.clear();
-    delta_pinned_rows_ = rows_.get();
+EncodedColumn& Table::MutableColumn(size_t c) {
+  std::shared_ptr<EncodedColumn>& column = columns_[c];
+  if (column.use_count() > 1) {
+    column = std::make_shared<EncodedColumn>(*column);
   }
-  cache_.reset();
+  if (column->paged()) column->MakeResident();
+  return *column;
 }
 
-void Table::NoteUpdate(const std::vector<size_t>& columns) {
-  NoteAppend();
-  if (delta_base_ == nullptr) return;
-  std::vector<size_t> sorted(columns);
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<size_t> merged;
-  merged.reserve(delta_updated_columns_.size() + sorted.size());
-  std::set_union(delta_updated_columns_.begin(), delta_updated_columns_.end(),
-                 sorted.begin(), sorted.end(), std::back_inserter(merged));
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-  delta_updated_columns_ = std::move(merged);
-}
-
-void Table::NoteStructural() {
-  cache_.reset();
-  delta_base_.reset();
-  delta_base_rows_ = 0;
-  delta_updated_columns_.clear();
-  delta_pinned_rows_ = nullptr;
-}
-
-void Table::DetachForMutation() {
-  if (paged_ != nullptr) return;  // read-only; EnsureMaterialized detaches
-  NoteAppend();
-  mutable_rows_delta();
-}
-
-Status Table::EnsureMaterialized() {
-  if (paged_ == nullptr) return Status::Ok();
-  auto rows = std::make_shared<std::vector<ValueVector>>();
-  rows->reserve(num_rows());
-  DBRE_RETURN_IF_ERROR(ForEachRow(
-      [&rows](const ValueVector& row) { rows->push_back(row); }));
-  std::lock_guard<std::mutex> lock(g_query_cache_mutex);
-  NoteStructural();
+void Table::MakeResident() {
+  if (paged_ == nullptr) return;
+  for (size_t c = 0; c < columns_.size(); ++c) MutableColumn(c);
   paged_.reset();
-  paged_columns_.clear();
-  rows_ = std::move(rows);
-  return Status::Ok();
 }
 
-Result<size_t> Table::UpdateRows(
-    const std::vector<size_t>& columns, const ValueVector& values,
-    const std::function<bool(const ValueVector&)>& predicate) {
-  if (paged_ != nullptr) {
-    return FailedPreconditionError(
-        "relation " + schema_.name() +
-        " is paged and read-only; materialize before mutating");
+void Table::DropCache() {
+  cache_.reset();
+  rows_view_.reset();
+}
+
+std::vector<size_t> Table::MatchingRows(const RowPredicate& predicate) const {
+  std::vector<size_t> matched;
+  Result<std::shared_ptr<QueryCache>> cache = query_cache();
+  if (!cache.ok()) return matched;
+  const EncodedTable& encoded = (*cache)->encoded();
+  // Each conjunct's test evaluated once per dictionary code; the entry
+  // past the dictionary is the NULL lane.
+  std::vector<std::vector<uint8_t>> pass;
+  std::vector<EncodedTable::CodeReader> readers;
+  for (const ColumnTest& conjunct : predicate) {
+    std::vector<uint8_t>& lane = pass.emplace_back(
+        encoded.dict_size(conjunct.column) + 1, uint8_t{0});
+    (void)encoded.ForEachDictValue(
+        conjunct.column, [&](uint32_t code, const Value& value) {
+          lane[code] = conjunct.test(value) ? 1 : 0;
+        });
+    if (encoded.has_null(conjunct.column)) {
+      lane.back() = conjunct.test(Value::Null()) ? 1 : 0;
+    }
+    readers.push_back(encoded.codes_reader(conjunct.column));
   }
+  batch::BatchIterator batches(num_rows_);
+  size_t start = 0;
+  size_t count = 0;
+  std::vector<uint8_t> keep(batch::kBatchSize);
+  while (batches.Next(&start, &count)) {
+    std::fill(keep.begin(), keep.begin() + count, 1);
+    for (size_t k = 0; k < pass.size(); ++k) {
+      const uint32_t* codes = readers[k].Fetch(start, count);
+      const uint8_t* lane = pass[k].data();
+      const uint32_t null_lane = static_cast<uint32_t>(pass[k].size() - 1);
+      for (size_t i = 0; i < count; ++i) {
+        const uint32_t code = codes[i];
+        keep[i] &= lane[code == EncodedTable::kNullCode ? null_lane : code];
+      }
+    }
+    for (size_t i = 0; i < count; ++i) {
+      if (keep[i]) matched.push_back(start + i);
+    }
+  }
+  return matched;
+}
+
+Result<size_t> Table::UpdateRows(const std::vector<size_t>& columns,
+                                 const ValueVector& values,
+                                 const RowPredicate& predicate) {
   if (columns.empty() || columns.size() != values.size()) {
     return InvalidArgumentError("UpdateRows: column/value count mismatch");
   }
-  const AttributeSet not_null = schema_.NotNullAttributes();
+  std::optional<AttributeSet> not_null;
   for (size_t k = 0; k < columns.size(); ++k) {
     if (columns[k] >= schema_.arity()) {
       return InvalidArgumentError("UpdateRows: column index out of range");
     }
-    const Attribute& attribute = schema_.attributes()[columns[k]];
-    if (!values[k].MatchesType(attribute.type)) {
-      return InvalidArgumentError("type mismatch for " + schema_.name() +
-                                  "." + attribute.name + ": value " +
-                                  values[k].ToString());
-    }
-    if (values[k].is_null() && not_null.Contains(attribute.name)) {
-      return InvalidArgumentError("NULL in not-null attribute " +
-                                  schema_.name() + "." + attribute.name);
-    }
+    DBRE_RETURN_IF_ERROR(CheckCell(columns[k], values[k], &not_null));
   }
-  // Match first: a predicate hitting nothing must not detach the shared
-  // storage or invalidate the cache.
-  std::vector<size_t> matched;
-  for (size_t i = 0; i < rows_->size(); ++i) {
-    if (predicate((*rows_)[i])) matched.push_back(i);
-  }
+  // Match first: a predicate hitting nothing must not detach shared
+  // columns or invalidate the cache.
+  const std::vector<size_t> matched = MatchingRows(predicate);
   if (matched.empty()) return size_t{0};
-  NoteUpdate(columns);
-  auto& rows = mutable_rows_delta();
-  for (size_t i : matched) {
-    for (size_t k = 0; k < columns.size(); ++k) {
-      rows[i][columns[k]] = values[k];
-    }
+
+  std::vector<size_t> rewritten(columns);
+  std::sort(rewritten.begin(), rewritten.end());
+  rewritten.erase(std::unique(rewritten.begin(), rewritten.end()),
+                  rewritten.end());
+  // Row count and every other column's codes are unchanged, so memos
+  // over other columns stay exact. Take them before dropping the cache:
+  // the cache must let go of the rewritten columns or they would be copied.
+  std::optional<QueryCache::Memos> memos;
+  if (cache_ != nullptr) memos = cache_->MemosAvoiding(rewritten);
+  DropCache();
+  MakeResident();
+  for (size_t k = 0; k < columns.size(); ++k) {
+    EncodedColumn& column = MutableColumn(columns[k]);
+    const uint32_t code = column.Intern(Value(values[k]));
+    for (size_t row : matched) column.codes[row] = code;
+    column.Canonicalize();
+  }
+  if (memos.has_value()) {
+    std::lock_guard<std::mutex> lock(g_query_cache_mutex);
+    cache_ = NewCache(columns_, num_rows_, std::move(*memos));
   }
   return matched.size();
 }
 
-Result<size_t> Table::DeleteRows(
-    const std::function<bool(const ValueVector&)>& predicate) {
-  if (paged_ != nullptr) {
-    return FailedPreconditionError(
-        "relation " + schema_.name() +
-        " is paged and read-only; materialize before mutating");
+Result<size_t> Table::DeleteRows(const RowPredicate& predicate) {
+  const std::vector<size_t> matched = MatchingRows(predicate);
+  if (matched.empty()) return size_t{0};
+  DropCache();
+  MakeResident();
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    EncodedColumn& column = MutableColumn(c);
+    size_t out = 0;
+    size_t next = 0;  // index into matched
+    for (size_t row = 0; row < column.codes.size(); ++row) {
+      if (next < matched.size() && matched[next] == row) {
+        ++next;
+        continue;
+      }
+      column.codes[out++] = column.codes[row];
+    }
+    column.codes.resize(out);
+    column.Canonicalize();
   }
-  size_t matched = 0;
-  for (const ValueVector& row : *rows_) {
-    if (predicate(row)) ++matched;
-  }
-  if (matched == 0) return size_t{0};
-  NoteStructural();
-  auto& rows = mutable_rows();
-  rows.erase(std::remove_if(rows.begin(), rows.end(), predicate),
-             rows.end());
-  return matched;
+  num_rows_ -= matched.size();
+  return matched.size();
 }
 
 bool Table::AdoptSharedExtension(const Table& other) {
@@ -209,105 +261,107 @@ bool Table::AdoptSharedExtension(const Table& other) {
       return false;
     }
   }
-  if (paged_ != nullptr || other.paged_ != nullptr) {
-    // Paged extensions share only with the exact same source over the same
-    // column layout (the registry deduplicates sources by fingerprint, so
-    // identical content means identical pointer).
-    if (paged_ != other.paged_ || paged_columns_ != other.paged_columns_) {
+  if (num_rows_ != other.num_rows_ || paged_ != other.paged_) return false;
+  // Columns are canonical, so equal codes and dictionaries mean equal
+  // extensions; paged columns match only the very same source column.
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const EncodedColumn& ours = *columns_[c];
+    const EncodedColumn& theirs = *other.columns_[c];
+    if (ours.source != theirs.source ||
+        ours.source_column != theirs.source_column ||
+        ours.codes != theirs.codes || ours.dictionary != theirs.dictionary) {
       return false;
     }
-    std::lock_guard<std::mutex> lock(g_query_cache_mutex);
-    if (other.cache_ != nullptr) cache_ = other.cache_;
-    return true;
   }
-  if (rows_ != other.rows_ && *rows_ != *other.rows_) return false;
   std::lock_guard<std::mutex> lock(g_query_cache_mutex);
-  NoteStructural();
-  rows_ = other.rows_;
+  columns_ = other.columns_;
   if (other.cache_ != nullptr) cache_ = other.cache_;
+  if (other.rows_view_ != nullptr) rows_view_ = other.rows_view_;
   return true;
 }
 
-Status Table::AdoptExtension(std::shared_ptr<std::vector<ValueVector>> rows) {
-  if (rows == nullptr) {
-    return InvalidArgumentError("AdoptExtension: null row storage");
-  }
-  for (const ValueVector& row : *rows) {
-    if (row.size() != schema_.arity()) {
-      return InvalidArgumentError(
-          "arity mismatch adopting extension for " + schema_.name() +
-          ": got " + std::to_string(row.size()) + ", want " +
-          std::to_string(schema_.arity()));
-    }
-  }
-  std::lock_guard<std::mutex> lock(g_query_cache_mutex);
-  NoteStructural();
-  paged_.reset();
-  paged_columns_.clear();
-  rows_ = std::move(rows);
-  return Status::Ok();
-}
-
 size_t Table::ApproximateBytes() const {
-  if (paged_ != nullptr) {
-    // The extension lives on disk behind the shared buffer pool, whose
-    // budget the service accounts separately; only the handle is heap.
-    return sizeof(Table) + sizeof(uint32_t) * paged_columns_.capacity();
-  }
-  size_t bytes = sizeof(ValueVector) * rows_->capacity();
-  for (const ValueVector& row : *rows_) {
-    bytes += sizeof(Value) * row.capacity();
-    for (const Value& value : row) {
-      if (value.is_text()) bytes += value.as_text().capacity();
-    }
-  }
+  size_t bytes = 0;
+  for (const auto& column : columns_) bytes += column->ApproximateBytes();
   return bytes;
 }
 
-Status Table::Insert(ValueVector row) {
-  if (paged_ != nullptr) {
-    return FailedPreconditionError("relation " + schema_.name() +
-                                   " is paged and read-only");
+Status Table::CheckCell(size_t c, const Value& value,
+                        std::optional<AttributeSet>* not_null) const {
+  const Attribute& attribute = schema_.attributes()[c];
+  if (!value.MatchesType(attribute.type)) {
+    return InvalidArgumentError("type mismatch for " + schema_.name() + "." +
+                                attribute.name + ": value " +
+                                value.ToString());
   }
+  if (!value.is_null()) return Status::Ok();
+  if (!not_null->has_value()) *not_null = schema_.NotNullAttributes();
+  if ((*not_null)->Contains(attribute.name)) {
+    return InvalidArgumentError("NULL in not-null attribute " +
+                                schema_.name() + "." + attribute.name);
+  }
+  return Status::Ok();
+}
+
+Status Table::Insert(ValueVector row) {
   if (row.size() != schema_.arity()) {
     return InvalidArgumentError(
         "arity mismatch inserting into " + schema_.name() + ": got " +
         std::to_string(row.size()) + ", want " +
         std::to_string(schema_.arity()));
   }
-  const AttributeSet not_null = schema_.NotNullAttributes();
+  std::optional<AttributeSet> not_null;
   for (size_t i = 0; i < row.size(); ++i) {
-    const Attribute& attribute = schema_.attributes()[i];
-    if (!row[i].MatchesType(attribute.type)) {
-      return InvalidArgumentError("type mismatch for " + schema_.name() +
-                                  "." + attribute.name + ": value " +
-                                  row[i].ToString());
-    }
-    if (row[i].is_null() && not_null.Contains(attribute.name)) {
-      return InvalidArgumentError("NULL in not-null attribute " +
-                                  schema_.name() + "." + attribute.name);
-    }
+    DBRE_RETURN_IF_ERROR(CheckCell(i, row[i], &not_null));
   }
-  NoteAppend();
-  mutable_rows_delta().push_back(std::move(row));
+  if (num_rows_ + 1 >= EncodedTable::kNullCode) {
+    return InternalError("extension too large to encode: " + schema_.name());
+  }
+  InsertUnchecked(std::move(row));
   return Status::Ok();
+}
+
+void Table::InsertUnchecked(ValueVector row) {
+  DropCache();
+  MakeResident();
+  uint64_t small[16];
+  std::vector<uint64_t> large;
+  uint64_t* keys = small;
+  if (columns_.size() > std::size(small)) {
+    large.resize(columns_.size());
+    keys = large.data();
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    keys[c] = MutableColumn(c).PrefetchKey(row[c]);
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c]->Append(std::move(row[c]), keys[c]);
+  }
+  ++num_rows_;
+}
+
+void Table::Reserve(size_t additional_rows) {
+  DropCache();
+  MakeResident();
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    EncodedColumn& column = MutableColumn(c);
+    column.codes.reserve(column.codes.size() + additional_rows);
+  }
+}
+
+void Table::Clear() {
+  DropCache();
+  columns_ = EmptyColumns(schema_);
+  num_rows_ = 0;
+  paged_.reset();
 }
 
 Status Table::ForEachRow(
     const std::function<void(const ValueVector&)>& fn) const {
-  if (paged_ == nullptr) {
-    for (const ValueVector& row : *rows_) fn(row);
-    return Status::Ok();
-  }
   DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache, query_cache());
-  std::vector<size_t> columns(schema_.arity());
-  std::iota(columns.begin(), columns.end(), size_t{0});
-  cache->EnsureEncoded(columns);
-  EncodedTable::RowReader reader =
-      cache->encoded().row_reader(std::move(columns));
+  EncodedTable::RowReader reader = cache->ReadRows();
   ValueVector row;
-  const size_t rows = num_rows();
-  for (size_t i = 0; i < rows; ++i) {
+  for (size_t i = 0; i < num_rows_; ++i) {
     reader.Read(i, &row);
     fn(row);
   }
@@ -315,19 +369,10 @@ Status Table::ForEachRow(
 }
 
 Status Table::DropAttribute(std::string_view name) {
-  NoteStructural();
   DBRE_ASSIGN_OR_RETURN(size_t index, schema_.AttributeIndex(name));
   DBRE_RETURN_IF_ERROR(schema_.RemoveAttribute(name));
-  if (paged_ != nullptr) {
-    // Projection only: the on-disk source keeps all its columns and the
-    // column map stops referencing the dropped one.
-    paged_columns_.erase(paged_columns_.begin() +
-                         static_cast<ptrdiff_t>(index));
-    return Status::Ok();
-  }
-  for (ValueVector& row : mutable_rows()) {
-    row.erase(row.begin() + static_cast<ptrdiff_t>(index));
-  }
+  DropCache();
+  columns_.erase(columns_.begin() + static_cast<ptrdiff_t>(index));
   return Status::Ok();
 }
 
@@ -387,31 +432,12 @@ Status Table::VerifyUniqueConstraints() const {
 }
 
 Status Table::VerifyNotNullConstraints() const {
-  const AttributeSet not_null = schema_.NotNullAttributes();
-  if (not_null.empty()) return Status::Ok();
-  std::vector<size_t> indexes;
-  for (const std::string& name : not_null) {
+  for (const std::string& name : schema_.NotNullAttributes()) {
     DBRE_ASSIGN_OR_RETURN(size_t index, schema_.AttributeIndex(name));
-    indexes.push_back(index);
-  }
-  if (paged_ != nullptr) {
-    // The snapshot records per-column NULL presence; no scan needed.
-    for (size_t index : indexes) {
-      if (paged_->has_null(paged_columns_[index])) {
-        return FailedPreconditionError(
-            "not-null attribute " + schema_.name() + "." +
-            schema_.attributes()[index].name + " contains NULL");
-      }
-    }
-    return Status::Ok();
-  }
-  for (const ValueVector& row : rows()) {
-    for (size_t index : indexes) {
-      if (row[index].is_null()) {
-        return FailedPreconditionError(
-            "not-null attribute " + schema_.name() + "." +
-            schema_.attributes()[index].name + " contains NULL");
-      }
+    // has_null is exact in both residencies; no scan needed.
+    if (columns_[index]->has_null) {
+      return FailedPreconditionError("not-null attribute " + schema_.name() +
+                                     "." + name + " contains NULL");
     }
   }
   return Status::Ok();

@@ -1,5 +1,12 @@
 // An in-memory table: a relation schema plus its extension (set of tuples).
 //
+// The extension is its dictionary-encoded columns, one `EncodedColumn` per
+// attribute (relational/encoded_table.h), resident or paged; there is no
+// row storage. Rows are read through one path in both residencies, the
+// query cache's RowReader (ForEachRow). Mutations edit the columns in
+// place and leave each canonical, so a mutated table is indistinguishable
+// from one loaded cold with the same rows.
+//
 // Provides the primitive the paper's algorithms are built on — the ‖·‖
 // operator (`select count distinct X from R`) — along with projections and
 // constraint verification. Following SQL `count(distinct ...)` semantics,
@@ -10,12 +17,14 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "relational/attribute_set.h"
+#include "relational/encoded_table.h"
 #include "relational/paged_source.h"
 #include "relational/schema.h"
 #include "relational/value.h"
@@ -28,56 +37,56 @@ class QueryCache;
 // A set of projected rows, usable for inclusion / intersection tests.
 using ValueVectorSet = std::unordered_set<ValueVector, ValueVectorHash>;
 
+// One conjunct of a mutation predicate: the row's cell in `column`
+// satisfies `test` (called with NULL for NULL cells). A row matches a
+// predicate — a conjunction of these — when every conjunct holds; the
+// empty conjunction matches every row. The table evaluates each test once
+// per dictionary code (and once for NULL), never once per row.
+struct ColumnTest {
+  size_t column = 0;
+  std::function<bool(const Value&)> test;
+};
+using RowPredicate = std::vector<ColumnTest>;
+
 class Table {
  public:
   Table() = default;
-  explicit Table(RelationSchema schema) : schema_(std::move(schema)) {}
+  explicit Table(RelationSchema schema);
 
   const RelationSchema& schema() const { return schema_; }
+  // Constraint declarations only: the attribute list must not change.
   RelationSchema& mutable_schema() { return schema_; }
 
-  size_t num_rows() const {
-    return paged_ != nullptr ? paged_->num_rows() : rows_->size();
-  }
+  size_t num_rows() const { return num_rows_; }
 
-  // Materialized row access. A paged table has no materialized rows —
-  // these die loudly rather than silently return an empty extension;
-  // row-shaped consumers go through the query cache's RowReader instead.
-  const std::vector<ValueVector>& rows() const {
-    if (paged_ != nullptr) DiePagedAccess("rows()");
-    return *rows_;
-  }
-  const ValueVector& row(size_t i) const {
-    if (paged_ != nullptr) DiePagedAccess("row()");
-    return (*rows_)[i];
-  }
+  // The extension decoded into rows, for callers outside the library that
+  // want row-major access (tests, benchmarks). Materialized on first call
+  // and kept until the next mutation; the reference stays valid until
+  // then. Nothing in the library reads it — use ForEachRow.
+  const std::vector<ValueVector>& rows() const;
+  ValueVector row(size_t i) const { return rows()[i]; }
 
   // Whether the extension lives on disk behind a buffer pool instead of in
-  // memory. Paged tables are read-only: Insert fails, and row()/rows()
-  // abort (see above).
+  // memory (every column paged). Mutating a paged table first copies its
+  // columns out of the pool (they become resident); the pool is never
+  // written.
   bool is_paged() const { return paged_ != nullptr; }
-  const std::shared_ptr<const PagedSource>& paged_source() const {
-    return paged_;
-  }
-  // Physical source columns behind the schema's attributes, in order.
-  const std::vector<uint32_t>& paged_columns() const {
-    return paged_columns_;
-  }
   // The content fingerprint of the paged extension (snapshot footer).
   uint64_t paged_fingerprint() const { return paged_->fingerprint(); }
 
   // Replaces the extension with a paged source whose physical columns
   // 0..arity-1 match the schema's attributes in order (declared types must
-  // agree). The table becomes read-only.
+  // agree).
   Status AdoptPagedExtension(std::shared_ptr<const PagedSource> source);
 
-  // The shared row storage. Copying a Table shares it (copy-on-write: the
-  // first mutation of either copy detaches that copy), and the query cache
-  // pins it so lazily encoded columns always read the extension they were
-  // built against, even if this Table is destroyed or mutated meanwhile.
-  std::shared_ptr<const std::vector<ValueVector>> shared_rows() const {
-    return rows_;
-  }
+  // Replaces the extension with columns built outside the Insert path —
+  // the snapshot loader (src/store/) decodes column pages straight into
+  // them. One resident column per attribute, each with `num_rows` codes,
+  // in canonical form (the loader verifies it).
+  Status AdoptColumns(std::vector<EncodedColumn> columns, size_t num_rows);
+
+  // Column `c` of the extension (one per schema attribute, in order).
+  const EncodedColumn& column(size_t c) const { return *columns_[c]; }
 
   // Appends a tuple after validating arity, value types and not-null
   // declarations. Unique declarations are NOT checked here (that would make
@@ -86,75 +95,40 @@ class Table {
 
   // Appends without validation; for generators that construct rows known to
   // be well-formed.
-  void InsertUnchecked(ValueVector row) {
-    NoteAppend();
-    mutable_rows_delta().push_back(std::move(row));
-  }
+  void InsertUnchecked(ValueVector row);
 
-  // Pre-sizes the row storage for a bulk load of `additional_rows` further
-  // tuples, so the append loop never reallocates (and re-moves) the row
-  // vector mid-load.
-  void Reserve(size_t additional_rows) {
-    NoteAppend();
-    auto& rows = mutable_rows_delta();
-    rows.reserve(rows.size() + additional_rows);
-  }
+  // Pre-sizes the columns for a bulk load of `additional_rows` further
+  // tuples; a column whose values turn out all distinct (a key) then
+  // sizes its dictionary index for the whole load at once.
+  void Reserve(size_t additional_rows);
 
-  void Clear() {
-    NoteStructural();
-    paged_.reset();
-    paged_columns_.clear();
-    rows_ = std::make_shared<std::vector<ValueVector>>();
-  }
+  void Clear();
 
   // --- Mutation path for live sessions (docs/INCREMENTAL.md) -------------
 
   // In-place update: assigns values[k] to column columns[k] of every row
-  // satisfying `predicate`. Values are validated against declared types and
+  // matching `predicate`. Values are validated against declared types and
   // not-null declarations up front; a predicate matching nothing leaves the
-  // extension, its cache and any pending delta untouched. Returns the
-  // number of updated rows. Fails failed_precondition on a paged extension
-  // (call EnsureMaterialized first).
-  Result<size_t> UpdateRows(
-      const std::vector<size_t>& columns, const ValueVector& values,
-      const std::function<bool(const ValueVector&)>& predicate);
+  // extension and its cache untouched. Only the assigned columns are
+  // rewritten (a column shared with another table is copied first), and
+  // every memo over other columns carries over. Returns the number of
+  // updated rows.
+  Result<size_t> UpdateRows(const std::vector<size_t>& columns,
+                            const ValueVector& values,
+                            const RowPredicate& predicate);
 
-  // Removes every row satisfying `predicate`; returns how many. Row
-  // removal is a structural change: the cache rebuilds cold (row-positional
-  // state cannot be patched). Fails failed_precondition on a paged
-  // extension.
-  Result<size_t> DeleteRows(
-      const std::function<bool(const ValueVector&)>& predicate);
+  // Removes every row matching `predicate`; returns how many. Every
+  // column is compacted, so no memo carries over.
+  Result<size_t> DeleteRows(const RowPredicate& predicate);
 
-  // Converts a paged (read-only) extension into materialized rows so it
-  // can be mutated; no-op when already materialized. Mutations never write
-  // through the buffer pool.
-  Status EnsureMaterialized();
-
-  // Detaches this table's extension from every sharing peer — the
-  // ExtensionRegistry's canonical copy or a sibling session adopted via
-  // AdoptSharedExtension — before a mutation: the shared query cache is
-  // demoted to this table's private delta base and the row storage is
-  // copied if anyone else still references it, so a write through this
-  // table can never surface in another session's extension or invalidate
-  // the registry's fingerprint-stamped snapshot. Mutators detach
-  // implicitly; exposed so the service layer can detach up front when it
-  // journals a mutation batch.
-  void DetachForMutation();
-
-  // Whether an incremental cache rebuild against a captured base is
-  // pending (diagnostics and tests).
-  bool has_pending_delta() const { return delta_base_ != nullptr; }
-
-  // Streams every row of the extension in row order, in either mode:
-  // materialized rows are visited directly; paged rows decode through the
-  // query cache page-by-page. The row reference is only valid during the
-  // call. Fails only when the extension cannot encode (never for loadable
-  // paged sources).
+  // Streams every row of the extension in row order, through the query
+  // cache's RowReader (page-by-page for paged columns). The row reference
+  // is only valid during the call.
   Status ForEachRow(const std::function<void(const ValueVector&)>& fn) const;
 
-  // Removes an attribute from the schema and its column from every row
-  // (used by Restruct when dependent attributes migrate to a new relation).
+  // Removes an attribute from the schema and its column from the
+  // extension (used by Restruct when dependent attributes migrate to a
+  // new relation).
   Status DropAttribute(std::string_view name);
 
   // Column indexes for `attributes`, in the set's (sorted) order.
@@ -179,97 +153,56 @@ class Table {
   // Verifies declared not-null attributes against the extension.
   Status VerifyNotNullConstraints() const;
 
-  // The dictionary-encoded image of this extension plus its memoized query
-  // results (see relational/query_cache.h), built lazily on first use and
-  // dropped by every mutating member. Copying a Table shares the cache (it
-  // is immutable and both copies start with identical rows); a subsequent
-  // mutation of either copy detaches only that copy. Safe to call from
-  // multiple threads concurrently, but not concurrently with a mutation —
-  // the discovery algorithms only mutate between query phases.
+  // The memoized query results over this extension (see
+  // relational/query_cache.h), reading the table's columns in place. Built
+  // lazily; a mutation replaces it, carrying over the memos it did not
+  // invalidate. Copying a Table shares the cache and the columns; a
+  // subsequent mutation of either copy detaches only that copy. Safe to
+  // call from multiple threads concurrently, but not concurrently with a
+  // mutation — the discovery algorithms only mutate between query phases.
   Result<std::shared_ptr<QueryCache>> query_cache() const;
 
-  // Rewires this table to share `other`'s row storage and query cache when
+  // Rewires this table to share `other`'s columns and query cache when
   // both hold the same extension over the same column layout (equal
-  // attribute names, types and rows, in order). Partitions and dictionaries
-  // memoized through either table then serve both — the service layer uses
-  // this to pool work across sessions that load the same extension (see
-  // relational/extension_registry.h). Returns false, changing nothing, if
-  // the layouts or extensions differ.
+  // attribute names, types, codes and dictionaries, in order). Partitions
+  // and dictionaries memoized through either table then serve both — the
+  // service layer uses this to pool work across sessions that load the
+  // same extension (see relational/extension_registry.h). Returns false,
+  // changing nothing, if the layouts or extensions differ.
   bool AdoptSharedExtension(const Table& other);
 
-  // Replaces the extension wholesale with storage the caller built outside
-  // the Insert path — the snapshot loader (src/store/) decodes column pages
-  // straight into a row vector and installs it here in one move. Rows must
-  // match the schema's arity; cell types are trusted (the snapshot format
-  // stores them per column and the loader constructs typed values).
-  Status AdoptExtension(std::shared_ptr<std::vector<ValueVector>> rows);
-
-  // Rough heap footprint of the extension (row vectors plus string
-  // payloads; the schema and any query cache are not counted). Used for
-  // per-session memory accounting.
+  // Rough heap footprint of the extension: codes, dictionaries (with
+  // string payloads) and dictionary indexes of the resident columns; the
+  // schema and any query cache are not counted. Used for per-session
+  // memory accounting.
   size_t ApproximateBytes() const;
 
  private:
   friend class ExtensionRegistry;
 
-  [[noreturn]] static void DiePagedAccess(const char* what);
-
-  // Copy-on-write access for mutators. Callers must reset cache_ first: a
-  // cache held only by this table then releases its pin on the storage and
-  // the common single-owner case mutates in place with no copy.
-  std::vector<ValueVector>& mutable_rows() {
-    if (paged_ != nullptr) DiePagedAccess("mutable_rows()");
-    if (rows_.use_count() > 1) {
-      rows_ = std::make_shared<std::vector<ValueVector>>(*rows_);
-    }
-    return *rows_;
-  }
-
-  // COW access for delta-tracked mutators (append / in-place update). A
-  // pending delta base necessarily pins the pre-mutation storage; when the
-  // base cache is exclusively ours (no registry canonical copy, no sibling
-  // session — use_count 1) that pin is discounted, so a solo session
-  // mutates in place: the base's ready code columns are immutable copies
-  // and BuildDelta never re-encodes through the base, so growing or
-  // updating the shared vector under it is safe. Any cross-table sharing
-  // still copies.
-  std::vector<ValueVector>& mutable_rows_delta() {
-    if (paged_ != nullptr) DiePagedAccess("mutable_rows()");
-    const long discounted =
-        delta_base_ != nullptr && delta_base_.use_count() == 1 &&
-                delta_pinned_rows_ == rows_.get()
-            ? 1
-            : 0;
-    if (rows_.use_count() > 1 + discounted) {
-      rows_ = std::make_shared<std::vector<ValueVector>>(*rows_);
-    }
-    return *rows_;
-  }
-
-  // Captures the current cache as the pending delta base so the next
-  // query_cache() rebuilds incrementally (QueryCache::BuildDelta) instead
-  // of cold. NoteAppend marks an append-only batch; NoteUpdate additionally
-  // records in-place-updated schema columns; NoteStructural (row removal,
-  // attribute drops, wholesale adoption) discards any pending delta.
-  void NoteAppend();
-  void NoteUpdate(const std::vector<size_t>& columns);
-  void NoteStructural();
+  // Validates a cell for column `c` (declared type, not-null); the
+  // not-null set is computed on the first NULL only.
+  Status CheckCell(size_t c, const Value& value,
+                   std::optional<AttributeSet>* not_null) const;
+  // Column `c` for writing: copied first if anyone else (a sibling table,
+  // the registry, a query cache) still references it, and made resident.
+  EncodedColumn& MutableColumn(size_t c);
+  // Makes every column resident (a paged table's first mutation).
+  void MakeResident();
+  // The row numbers matching `predicate`, ascending.
+  std::vector<size_t> MatchingRows(const RowPredicate& predicate) const;
+  // Drops the cache and the rows view before a mutation.
+  void DropCache();
+  // Replaces the whole extension.
+  void Install(std::vector<std::shared_ptr<EncodedColumn>> columns,
+               size_t num_rows, std::shared_ptr<const PagedSource> paged);
 
   RelationSchema schema_;
-  std::shared_ptr<std::vector<ValueVector>> rows_ =
-      std::make_shared<std::vector<ValueVector>>();
+  size_t num_rows_ = 0;
+  std::vector<std::shared_ptr<EncodedColumn>> columns_;
   std::shared_ptr<const PagedSource> paged_;
-  std::vector<uint32_t> paged_columns_;
   mutable std::shared_ptr<QueryCache> cache_;
-  // Pending incremental rebuild: the cache as of delta_base_rows_ rows,
-  // with delta_updated_columns_ (sorted, unique) updated in place since.
-  // delta_pinned_rows_ remembers which storage the base was built over, so
-  // mutable_rows_delta only discounts its pin while they still coincide.
-  // Mutable because query_cache() (const) consumes the delta.
-  mutable std::shared_ptr<QueryCache> delta_base_;
-  mutable size_t delta_base_rows_ = 0;
-  mutable std::vector<size_t> delta_updated_columns_;
-  mutable const void* delta_pinned_rows_ = nullptr;
+  mutable std::shared_ptr<const std::vector<ValueVector>> rows_view_;
 };
 
 }  // namespace dbre

@@ -38,21 +38,6 @@ Result<DataType> DataTypeFromName(std::string_view name) {
   return InvalidArgumentError("unknown data type name: " + std::string(name));
 }
 
-bool Value::MatchesType(DataType type) const {
-  if (is_null()) return true;
-  switch (type) {
-    case DataType::kInt64:
-      return is_int();
-    case DataType::kDouble:
-      return is_real();
-    case DataType::kBool:
-      return is_bool();
-    case DataType::kString:
-      return is_text();
-  }
-  return false;
-}
-
 std::string Value::ToString() const {
   if (is_null()) return "NULL";
   if (is_int()) return std::to_string(as_int());

@@ -57,7 +57,19 @@ class Value {
 
   // True if this value's tag matches the declared attribute type (NULL
   // matches every type).
-  bool MatchesType(DataType type) const;
+  bool MatchesType(DataType type) const {
+    switch (type) {
+      case DataType::kInt64:
+        return is_null() || is_int();
+      case DataType::kDouble:
+        return is_null() || is_real();
+      case DataType::kBool:
+        return is_null() || is_bool();
+      case DataType::kString:
+        return is_null() || is_text();
+    }
+    return false;
+  }
 
   // Renders the value for display; NULL renders as "NULL", strings verbatim.
   std::string ToString() const;

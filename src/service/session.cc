@@ -205,8 +205,8 @@ void Session::SetPagedOpener(PagedOpener opener) {
 void Session::TryAdoptPaged(Table* table) {
   if (!paged_opener_ || persist_ == nullptr) return;
   // Snapshot first (content-addressed and deduplicated) so the paged
-  // source has a verified file to open, then swap the materialized rows
-  // for the page-backed source. Every step degrades gracefully: on any
+  // source has a verified file to open, then swap the resident columns
+  // for the page-backed ones. Every step degrades gracefully: on any
   // failure the extension simply stays in memory.
   Result<store::SnapshotInfo> info = persist_->store()->PutSnapshot(*table);
   if (!info.ok()) return;
@@ -298,11 +298,12 @@ Status Session::RestoreExtension(const std::string& relation,
         " does not match the catalog schema of " + relation);
   }
   size_t old_table_bytes = table->ApproximateBytes();
-  size_t rows = snapshot.rows->size();
-  DBRE_RETURN_IF_ERROR(table->AdoptExtension(std::move(snapshot.rows)));
+  size_t rows = snapshot.rows;
+  DBRE_RETURN_IF_ERROR(
+      table->AdoptColumns(std::move(snapshot.columns), snapshot.rows));
   // The footer fingerprint was written by ComputeFingerprint over these
-  // same rows, so interning can reuse it instead of re-hashing; sharing
-  // still requires byte equality (AdoptSharedExtension).
+  // same columns, so interning can reuse it instead of re-hashing; sharing
+  // still requires equal codes and dictionaries (AdoptSharedExtension).
   bool shared = registry_ != nullptr &&
                 registry_->InternPrecomputed(table, snapshot.fingerprint);
   size_t new_table_bytes = shared ? 0 : table->ApproximateBytes();

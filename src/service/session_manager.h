@@ -58,7 +58,7 @@ struct SessionManagerOptions {
   std::string worker_id;
   // Byte budget of the shared page buffer pool (`--buffer-pool-mb`).
   // Non-zero turns on paged extensions: CSV loads are snapshotted, then
-  // adopted page-backed instead of staying materialized, so sessions work
+  // adopted page-backed instead of staying resident, so sessions work
   // on databases larger than memory. Requires a data dir (the pages live
   // in its snapshots); the budget is reserved from max_total_bytes up
   // front so admission accounts for the pool. 0 = off.

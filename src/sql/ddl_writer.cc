@@ -74,7 +74,7 @@ std::string WriteInserts(const Table& table, size_t batch_size) {
   if (table.num_rows() == 0) return "";
   if (batch_size == 0) batch_size = 1;
   std::string out;
-  // Stream rows in order (works for both materialized and paged
+  // Stream rows in order (works for both resident and paged
   // extensions), opening a new INSERT batch every batch_size rows.
   size_t index = 0;
   (void)table.ForEachRow([&](const ValueVector& row) {

@@ -42,9 +42,9 @@ struct SimplePredicate {
   Value literal;
 };
 
-bool PredicateMatches(const SimplePredicate& predicate,
-                      const ValueVector& row) {
-  const Value& cell = row[predicate.column];
+// Whether one cell satisfies one conjunct (SQL semantics: comparisons
+// with NULL are never true).
+bool CellMatches(const SimplePredicate& predicate, const Value& cell) {
   switch (predicate.op) {
     case Op::kIsNull:
       return cell.is_null();
@@ -74,12 +74,17 @@ bool PredicateMatches(const SimplePredicate& predicate,
   }
 }
 
-bool ConjunctionMatches(const std::vector<SimplePredicate>& where,
-                        const ValueVector& row) {
-  for (const SimplePredicate& predicate : where) {
-    if (!PredicateMatches(predicate, row)) return false;
+// The WHERE conjunction as per-column tests, which the table evaluates
+// once per dictionary code. `where` must outlive the result.
+RowPredicate ToRowPredicate(const std::vector<SimplePredicate>& where) {
+  RowPredicate predicate;
+  for (const SimplePredicate& conjunct : where) {
+    auto test = [&conjunct](const Value& cell) {
+      return CellMatches(conjunct, cell);
+    };
+    predicate.push_back(ColumnTest{conjunct.column, test});
   }
-  return true;
+  return predicate;
 }
 
 struct Statement {
@@ -376,15 +381,6 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
   DmlParser parser(std::move(tokens), database);
   DBRE_ASSIGN_OR_RETURN(std::vector<Statement> statements, parser.Run());
 
-  // Materialize every paged target up front: content-preserving, so a
-  // failure here leaves the catalog logically unchanged and the script
-  // unapplied. Mutations never write through the buffer pool.
-  for (Statement& statement : statements) {
-    if (statement.table->is_paged()) {
-      DBRE_RETURN_IF_ERROR(statement.table->EnsureMaterialized());
-    }
-  }
-
   DmlStats stats;
   stats.statements = statements.size();
   for (Statement& statement : statements) {
@@ -398,14 +394,11 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
         stats.rows_inserted += statement.insert_rows.size();
         break;
       case Statement::Kind::kUpdate: {
-        const std::vector<SimplePredicate>& where = statement.where;
         DBRE_ASSIGN_OR_RETURN(
             size_t updated,
-            statement.table->UpdateRows(
-                statement.set_columns, statement.set_values,
-                [&where](const ValueVector& row) {
-                  return ConjunctionMatches(where, row);
-                }));
+            statement.table->UpdateRows(statement.set_columns,
+                                        statement.set_values,
+                                        ToRowPredicate(statement.where)));
         mutation->updated += updated;
         stats.rows_updated += updated;
         if (updated > 0) {
@@ -420,12 +413,9 @@ Result<DmlStats> ExecuteDmlScript(std::string_view sql, Database* database) {
         break;
       }
       case Statement::Kind::kDelete: {
-        const std::vector<SimplePredicate>& where = statement.where;
         DBRE_ASSIGN_OR_RETURN(
             size_t deleted,
-            statement.table->DeleteRows([&where](const ValueVector& row) {
-              return ConjunctionMatches(where, row);
-            }));
+            statement.table->DeleteRows(ToRowPredicate(statement.where)));
         mutation->deleted += deleted;
         stats.rows_deleted += deleted;
         if (deleted > 0) mutation->structural = true;

@@ -17,9 +17,9 @@
 // Execution is two-phase: the whole script parses and validates first
 // (unknown tables/columns, literal types against declared types, NULL into
 // not-null attributes are all parse errors), then applies — so a journaled
-// script is exactly what mutated the catalog, never a prefix. Paged
-// (read-only) target tables are materialized before the first mutation
-// touches them; mutations never write through the buffer pool.
+// script is exactly what mutated the catalog, never a prefix. A paged
+// target table's columns are copied out of the pool (made resident) by its
+// first mutation; mutations never write through the buffer pool.
 #ifndef DBRE_SQL_DML_H_
 #define DBRE_SQL_DML_H_
 
@@ -40,7 +40,7 @@ struct TableMutation {
   size_t inserted = 0;
   size_t updated = 0;
   size_t deleted = 0;
-  bool structural = false;  // rows removed: caches rebuilt cold
+  bool structural = false;  // rows removed: no memo carries over
   std::vector<size_t> updated_columns;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <sstream>
 #include <unordered_map>
@@ -39,16 +38,22 @@ Ternary Not(Ternary a) {
   return Ternary::kUnknown;
 }
 
-// One table instance of a FROM clause with its current row. Paged tables
-// have no materialized rows: the odometer decodes the current row into
-// `paged_row` through the query cache's RowReader instead.
+// One table instance of a FROM clause with its current row, decoded
+// through the query cache's RowReader (the one row path, for resident and
+// paged columns alike).
 struct Binding {
   const TableRef* ref = nullptr;
   const Table* table = nullptr;
   const ValueVector* row = nullptr;
-  std::shared_ptr<QueryCache> paged_cache;
-  std::unique_ptr<EncodedTable::RowReader> paged_reader;
-  ValueVector paged_row;
+  std::shared_ptr<QueryCache> cache;
+  std::unique_ptr<EncodedTable::RowReader> reader;
+  ValueVector current;
+
+  // Makes row `i` the current row.
+  void Load(size_t i) {
+    reader->Read(i, &current);
+    row = &current;
+  }
 };
 
 using Frame = std::vector<Binding>;
@@ -554,16 +559,9 @@ class Evaluator {
       Binding binding;
       binding.ref = &ref;
       binding.table = table;
-      if (table->is_paged()) {
-        DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache,
-                              table->query_cache());
-        std::vector<size_t> columns(table->schema().arity());
-        std::iota(columns.begin(), columns.end(), size_t{0});
-        cache->EnsureEncoded(columns);
-        binding.paged_reader = std::make_unique<EncodedTable::RowReader>(
-            cache->encoded().row_reader(std::move(columns)));
-        binding.paged_cache = std::move(cache);
-      }
+      DBRE_ASSIGN_OR_RETURN(binding.cache, table->query_cache());
+      binding.reader = std::make_unique<EncodedTable::RowReader>(
+          binding.cache->ReadRows());
       frame.push_back(std::move(binding));
     }
     env_.push_back(&frame);
@@ -603,15 +601,7 @@ class Evaluator {
         if (binding.table->num_rows() == 0) exhausted = true;
       }
       while (!exhausted) {
-        for (size_t i = 0; i < frame.size(); ++i) {
-          Binding& binding = frame[i];
-          if (binding.paged_reader != nullptr) {
-            binding.paged_reader->Read(cursor[i], &binding.paged_row);
-            binding.row = &binding.paged_row;
-          } else {
-            binding.row = &binding.table->row(cursor[i]);
-          }
-        }
+        for (size_t i = 0; i < frame.size(); ++i) frame[i].Load(cursor[i]);
         // Evaluate the ON conditions and the WHERE clause.
         Ternary keep = Ternary::kTrue;
         for (const auto& condition : statement.join_conditions) {
@@ -712,18 +702,14 @@ class Evaluator {
     if (env_.size() != 1) return std::nullopt;
     if (frame.empty() || frame.size() > 2) return std::nullopt;
     // The compiled kernels index flat in-memory code vectors and resident
-    // dictionaries; paged extensions take the (RowReader-backed) odometer.
+    // dictionaries; paged extensions take the odometer.
     for (const Binding& binding : frame) {
       if (binding.table->is_paged()) return std::nullopt;
     }
 
     std::vector<std::shared_ptr<QueryCache>> caches;
     caches.reserve(frame.size());
-    for (const Binding& binding : frame) {
-      auto cache = binding.table->query_cache();
-      if (!cache.ok()) return std::nullopt;
-      caches.push_back(std::move(cache).value());
-    }
+    for (const Binding& binding : frame) caches.push_back(binding.cache);
     VectorContext ctx{frame, caches};
 
     // Classify the top-level conjuncts: per-table ternary programs, or —
@@ -794,7 +780,7 @@ class Evaluator {
         const size_t n =
             batch::SelectTrue(truth.data(), count, start, selected.data());
         for (size_t i = 0; i < n; ++i) {
-          frame[0].row = &table->row(selected[i]);
+          frame[0].Load(selected[i]);
           Status status = project();
           if (!status.ok()) return status;
         }
@@ -851,10 +837,10 @@ class Evaluator {
       batch::AddKernelRows(batch::Kernel::kJoin, n);
       for (size_t i = 0; i < n; ++i) {
         const uint32_t r0 = selected[i];
-        frame[0].row = &left_table->row(r0);
+        frame[0].Load(r0);
         if (join_keys.empty()) {
           for (uint32_t r1 : cross_rows) {
-            frame[1].row = &right_table->row(r1);
+            frame[1].Load(r1);
             Status status = project();
             if (!status.ok()) return status;
           }
@@ -888,7 +874,7 @@ class Evaluator {
             }
           }
           if (!match) continue;
-          frame[1].row = &right_table->row(r1);
+          frame[1].Load(r1);
           Status status = project();
           if (!status.ok()) return status;
         }

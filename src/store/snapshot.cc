@@ -220,13 +220,11 @@ Result<SnapshotInfo> WriteSnapshot(const Table& table,
                       obs::Registry::Default().slow_ops());
   span.set_detail(path);
   if (table.is_paged()) {
-    // A paged extension already lives in a snapshot; re-serializing it
-    // would silently write an empty extension (Build reads the
-    // materialized rows, which a paged table does not have).
+    // A paged extension already lives in a snapshot; its columns are the
+    // file's pages.
     return FailedPreconditionError("relation " + table.schema().name() +
                                    " is paged; its snapshot already exists");
   }
-  DBRE_ASSIGN_OR_RETURN(EncodedTable encoded, EncodedTable::Build(table));
   uint64_t fingerprint = ExtensionRegistry::ComputeFingerprint(table);
 
   Writer file;
@@ -237,14 +235,14 @@ Result<SnapshotInfo> WriteSnapshot(const Table& table,
   file.U32(Crc32c(schema_blob));
   file.out.append(schema_blob);
 
-  for (size_t c = 0; c < encoded.num_columns(); ++c) {
+  // The columns are canonical, so they are the pages verbatim.
+  for (size_t c = 0; c < table.schema().arity(); ++c) {
+    const EncodedColumn& column = table.column(c);
     Writer page;
-    page.U32(static_cast<uint32_t>(encoded.dict_size(c)));
-    page.U8(encoded.has_null(c) ? 1 : 0);
-    for (uint32_t code = 0; code < encoded.dict_size(c); ++code) {
-      AppendValue(&page, encoded.Decode(c, code));
-    }
-    for (uint32_t code : encoded.codes(c)) page.U32(code);
+    page.U32(column.dict_size());
+    page.U8(column.has_null ? 1 : 0);
+    for (const Value& value : column.dictionary) AppendValue(&page, value);
+    for (uint32_t code : column.codes) page.U32(code);
     file.U64(page.out.size());
     file.U32(Crc32c(page.out));
     file.out.append(page.out);
@@ -352,107 +350,67 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   LoadedSnapshot out;
   out.schema = std::move(layout.schema.schema);
   out.fingerprint = layout.fingerprint;
-  out.rows = std::make_shared<std::vector<ValueVector>>();
+  out.rows = rows;
+  out.columns.resize(columns);
 
-  // Pass 1: verify and parse each column page. Int64 and double
-  // dictionaries have fixed-width entries (tag + 8-byte payload), so they
-  // are validated in place and decoded straight from the mapped bytes
-  // during materialization — no dictionary of Values is ever built for
-  // them (for a unique-key column that dictionary would be as large as
-  // the extension itself). Strings and bools materialize their (small)
-  // dictionaries as before.
-  constexpr size_t kFixedEntry = 9;  // tag byte + 8-byte payload
-  struct ColumnPage {
-    std::vector<Value> dictionary;          // string/bool columns
-    const unsigned char* fixed = nullptr;   // int64/double columns
-    uint8_t fixed_tag = 0;
-    const unsigned char* codes = nullptr;
-    uint32_t dict_size = 0;
-  };
-  std::vector<ColumnPage> pages(columns);
+  // One pass per column page: verify its checksum, decode its dictionary,
+  // hold its codes to the canonical form and install them as they are.
   size_t pos = layout.pages_begin;
   for (uint32_t c = 0; c < columns; ++c) {
+    const std::string page_name =
+        "snapshot " + path + ": column page " + std::to_string(c);
     Reader page_header{data, layout.pages_end, pos};
     uint64_t payload_size = page_header.U64();
     uint32_t payload_crc = page_header.U32();
     if (!page_header.ok ||
         payload_size > layout.pages_end - page_header.pos) {
-      return ParseError("snapshot " + path + ": column page " +
-                        std::to_string(c) + " truncated");
+      return ParseError(page_name + " truncated");
     }
     if (Crc32c(0, data + page_header.pos, payload_size) != payload_crc) {
-      return ParseError("snapshot " + path + ": column page " +
-                        std::to_string(c) + " checksum mismatch");
+      return ParseError(page_name + " checksum mismatch");
     }
 
     Reader payload{data + page_header.pos, payload_size};
-    uint32_t dict_size = payload.U32();
-    payload.U8();  // has_null — recomputed by the in-memory encoder
-    ColumnPage& page = pages[c];
-    page.dict_size = dict_size;
-    DataType type = out.schema.attributes()[c].type;
-    if (type == DataType::kInt64 || type == DataType::kDouble) {
-      uint8_t expected = type == DataType::kInt64 ? kTagInt : kTagReal;
-      if (payload_size - payload.pos < dict_size * kFixedEntry) {
-        return ParseError("snapshot " + path + ": column page " +
-                          std::to_string(c) + " is malformed");
+    const uint32_t dict_size = payload.U32();
+    const bool has_null = payload.U8() != 0;
+    const DataType type = out.schema.attributes()[c].type;
+    EncodedColumn& column = out.columns[c];
+    column.type = type;
+    // int64/double entries are fixed-width (tag + 8-byte payload), so a
+    // foreign tag there is corruption; elsewhere it makes the column
+    // untyped.
+    const bool fixed = type == DataType::kInt64 || type == DataType::kDouble;
+    if (fixed &&
+        payload_size - payload.pos < uint64_t{dict_size} * kFixedEntryBytes) {
+      return ParseError(page_name + " is malformed");
+    }
+    column.dictionary.reserve(dict_size);
+    for (uint32_t i = 0; i < dict_size && payload.ok; ++i) {
+      DBRE_ASSIGN_OR_RETURN(Value value, ParseValue(&payload));
+      if (!value.MatchesType(type)) {
+        if (fixed) return ParseError(page_name + " has a mistyped entry");
+        column.typed = false;
       }
-      page.fixed = data + page_header.pos + payload.pos;
-      page.fixed_tag = expected;
-      for (uint32_t i = 0; i < dict_size; ++i) {
-        if (page.fixed[i * kFixedEntry] != expected) {
-          return ParseError("snapshot " + path + ": column page " +
-                            std::to_string(c) + " has a mistyped entry");
-        }
-      }
-      payload.pos += dict_size * kFixedEntry;
-    } else {
-      page.dictionary.reserve(dict_size);
-      for (uint32_t i = 0; i < dict_size && payload.ok; ++i) {
-        DBRE_ASSIGN_OR_RETURN(Value value, ParseValue(&payload));
-        page.dictionary.push_back(std::move(value));
-      }
+      column.dictionary.push_back(std::move(value));
     }
     if (!payload.ok || payload_size - payload.pos != rows * 4) {
-      return ParseError("snapshot " + path + ": column page " +
-                        std::to_string(c) + " is malformed");
+      return ParseError(page_name + " is malformed");
     }
-    page.codes = data + page_header.pos + payload.pos;
+    const unsigned char* codes = data + page_header.pos + payload.pos;
+    CanonicalCodeCheck check(dict_size);
+    check.Add(codes, rows);
+    if (const char* defect = check.Finish(has_null)) {
+      return ParseError(page_name + " " + defect);
+    }
+    column.has_null = has_null;
+    column.codes.resize(rows);
+    for (uint64_t r = 0; r < rows; ++r) {
+      column.codes[r] = LoadU32(codes + 4 * r);
+    }
     pos = page_header.pos + payload_size;
   }
   if (pos != layout.pages_end) {
     return ParseError("snapshot " + path + ": trailing bytes after pages");
-  }
-
-  // Pass 2: materialize row-major, constructing each cell exactly once.
-  // The per-column code pointers stream sequentially, so this is the
-  // cache-friendly direction; codes are range-checked here, right where
-  // they are consumed.
-  out.rows->reserve(rows);
-  for (uint64_t r = 0; r < rows; ++r) {
-    ValueVector row;
-    row.reserve(columns);
-    for (uint32_t c = 0; c < columns; ++c) {
-      const ColumnPage& page = pages[c];
-      uint32_t code = LoadU32(page.codes + r * 4);
-      if (code == EncodedTable::kNullCode) {
-        row.push_back(Value::Null());
-        continue;
-      }
-      if (code >= page.dict_size) {
-        return ParseError("snapshot " + path + ": column page " +
-                          std::to_string(c) + " has out-of-range code");
-      }
-      if (page.fixed != nullptr) {
-        uint64_t bits = LoadU64(page.fixed + code * kFixedEntry + 1);
-        row.push_back(page.fixed_tag == kTagInt
-                          ? Value::Int(static_cast<int64_t>(bits))
-                          : Value::Real(std::bit_cast<double>(bits)));
-      } else {
-        row.push_back(page.dictionary[code]);
-      }
-    }
-    out.rows->push_back(std::move(row));
   }
   return out;
 }

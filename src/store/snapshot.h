@@ -1,9 +1,10 @@
 // Binary columnar snapshot format for extensions (format tag "DBSNAP01").
 //
 // A snapshot is the durable image of one loaded extension: the relation
-// schema, every column dictionary-encoded exactly as `EncodedTable` encodes
-// it in memory, and a footer carrying the extension's content fingerprint
-// (see ExtensionRegistry::ComputeFingerprint). Loading a snapshot therefore
+// schema, every column's codes and dictionary exactly as the table holds
+// them in memory (relational/encoded_table.h), and a footer carrying the
+// extension's content fingerprint (see ExtensionRegistry::
+// ComputeFingerprint). Loading a snapshot therefore
 // skips both CSV parsing and row re-hashing — the service re-interns a
 // restored extension by the fingerprint read from the footer.
 //
@@ -22,10 +23,12 @@
 //   [8]  footer magic "DBSNAPFT"
 //
 // Every section is independently checksummed, so corruption is localized
-// and reported as a structured error instead of garbage rows. Writes go
-// through a temp file + fsync + rename, so a crashed writer never leaves a
-// half-visible snapshot. The loader mmaps the file when it can (falling
-// back to a buffered read) and decodes straight into row storage.
+// and reported as a structured error instead of garbage rows; past the
+// checksums, every code page must be a canonical encoding
+// (store/snapshot_format.h's CanonicalCodeCheck). Writes go through a temp
+// file + fsync + rename, so a crashed writer never leaves a half-visible
+// snapshot. The loader mmaps the file when it can (falling back to a
+// buffered read) and installs each page as a column, codes as they are.
 #ifndef DBRE_STORE_SNAPSHOT_H_
 #define DBRE_STORE_SNAPSHOT_H_
 
@@ -35,6 +38,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "relational/encoded_table.h"
 #include "relational/schema.h"
 #include "relational/table.h"
 
@@ -50,13 +54,14 @@ struct SnapshotInfo {
   uint64_t file_bytes = 0;
 };
 
-// A decoded snapshot: the schema and free-standing row storage, ready for
-// Table::AdoptExtension. `fingerprint` comes from the verified footer, so
-// the caller can intern without re-hashing (ExtensionRegistry::
+// A decoded snapshot: the schema and one resident column per attribute,
+// ready for Table::AdoptColumns. `fingerprint` comes from the verified
+// footer, so the caller can intern without re-hashing (ExtensionRegistry::
 // InternPrecomputed).
 struct LoadedSnapshot {
   RelationSchema schema;
-  std::shared_ptr<std::vector<ValueVector>> rows;
+  std::vector<EncodedColumn> columns;
+  uint64_t rows = 0;
   uint64_t fingerprint = 0;
 };
 
@@ -69,9 +74,10 @@ Result<SnapshotInfo> WriteSnapshot(const Table& table, const std::string& path);
 // without decoding any pages. Cheap existence/identity probe.
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path);
 
-// Decodes `path` fully, verifying every checksum. A mismatch anywhere —
-// header, schema, any column page, footer — fails with a structured error
-// naming the corrupt section; it never returns partial rows.
+// Decodes `path` fully, verifying every checksum and every code page. A
+// mismatch anywhere — header, schema, any column page, footer — fails with
+// a structured error naming the corrupt section; it never returns partial
+// columns.
 Result<LoadedSnapshot> LoadSnapshot(const std::string& path);
 
 }  // namespace dbre::store

@@ -157,6 +157,51 @@ inline Result<Value> ParseValue(Reader* r) {
   }
 }
 
+// ---- canonical code streams --------------------------------------------
+
+// Column pages are canonical encodings (relational/encoded_table.h): each
+// code is below dict_size or NULL, codes come in first-appearance order,
+// every entry is used, has_null is exact. Both readers check exactly that,
+// in O(1) state, so a crafted file with recomputed checksums can neither
+// index past a dictionary nor hide a NULL group.
+class CanonicalCodeCheck {
+ public:
+  static constexpr uint32_t kNullCode = 0xFFFFFFFFu;
+
+  explicit CanonicalCodeCheck(uint32_t dict_size) : dict_size_(dict_size) {}
+
+  // Feeds `count` little-endian codes, in row order.
+  void Add(const unsigned char* codes, size_t count) {
+    for (size_t i = 0; i < count && defect_ == nullptr; ++i) {
+      const uint32_t code = LoadU32(codes + 4 * i);
+      if (code == kNullCode) {
+        saw_null_ = true;
+      } else if (code >= dict_size_) {
+        defect_ = "has an out-of-range code";
+      } else if (code > next_) {
+        defect_ = "has codes out of first-appearance order";
+      } else if (code == next_) {
+        ++next_;
+      }
+    }
+  }
+
+  // The first defect of the whole stream against the page's has_null
+  // byte, phrased to follow "column page N", or nullptr when canonical.
+  const char* Finish(bool has_null) const {
+    if (defect_ != nullptr) return defect_;
+    if (next_ != dict_size_) return "has an unused dictionary entry";
+    if (saw_null_ != has_null) return "has a wrong NULL flag";
+    return nullptr;
+  }
+
+ private:
+  uint32_t dict_size_;
+  uint32_t next_ = 0;  // the code the next unseen value must take
+  bool saw_null_ = false;
+  const char* defect_ = nullptr;
+};
+
 // ---- schema blob --------------------------------------------------------
 
 inline std::string BuildSchemaBlob(const RelationSchema& schema,

@@ -205,6 +205,7 @@ Result<SyntheticDatabase> GenerateSynthetic(const SyntheticSpec& spec) {
     const std::vector<std::string> keys = key_columns(i);
     const std::vector<std::string> refs =
         i > 0 ? ref_columns(parent[i]) : std::vector<std::string>{};
+    table->Reserve(static_cast<size_t>(rows));
     for (int64_t row = 1; row <= rows; ++row) {
       // Pre-draw this row's FK target so all ref columns agree.
       int64_t ref_target =

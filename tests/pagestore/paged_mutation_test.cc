@@ -1,7 +1,7 @@
-// Satellite guard of the live-mutation work (docs/INCREMENTAL.md): paged
-// extensions are read-only. A mutation against a page-backed table must
-// either fail failed_precondition (direct Table calls) or materialize-
-// then-mutate (the DML front end) — never write through the buffer pool.
+// Satellite guard of the live-mutation work (docs/INCREMENTAL.md): a
+// mutation against a page-backed table copies its columns out of the pool
+// (they become resident) and edits the copies — it never writes through
+// the buffer pool, and a predicate matching nothing leaves the table paged.
 // Runs honestly small via test_pool.h: DBRE_TEST_BUFFER_POOL_MB=16 re-runs
 // the suite at the tiny-pool CI budget.
 #include <filesystem>
@@ -68,48 +68,51 @@ class PagedMutationTest : public ::testing::Test {
   std::shared_ptr<pagestore::BufferPool> pool_;
 };
 
-TEST_F(PagedMutationTest, DirectMutationsFailPrecondition) {
+TEST_F(PagedMutationTest, DirectMutationsMakeColumnsResident) {
   Table table = MakeTable(500);
   MakePaged(&table);
+  const RowPredicate none = {ColumnTest{
+      0, [](const Value& v) { return v.as_int() > 1'000'000; }}};
 
-  auto updated = table.UpdateRows({1}, {Value::Text("x")},
-                                  [](const ValueVector&) { return true; });
-  ASSERT_FALSE(updated.ok());
-  EXPECT_EQ(updated.status().code(), StatusCode::kFailedPrecondition);
-
-  auto deleted =
-      table.DeleteRows([](const ValueVector&) { return true; });
-  ASSERT_FALSE(deleted.ok());
-  EXPECT_EQ(deleted.status().code(), StatusCode::kFailedPrecondition);
-
-  auto inserted = table.Insert({Value::Int(999), Value::Text("x")});
-  EXPECT_FALSE(inserted.ok());
-
-  // Still paged, still intact.
+  // Predicates matching nothing change nothing: still paged.
+  auto updated = table.UpdateRows({1}, {Value::Text("x")}, none);
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  EXPECT_EQ(*updated, 0u);
+  auto deleted = table.DeleteRows(none);
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(*deleted, 0u);
   EXPECT_TRUE(table.is_paged());
-  size_t rows = 0;
-  ASSERT_TRUE(
-      table.ForEachRow([&](const ValueVector&) { ++rows; }).ok());
-  EXPECT_EQ(rows, 500u);
+
+  // An append makes every column resident and lands after the snapshot's
+  // rows.
+  ASSERT_TRUE(table.Insert({Value::Int(999), Value::Text("x")}).ok());
+  EXPECT_FALSE(table.is_paged());
+  for (size_t c = 0; c < table.schema().arity(); ++c) {
+    EXPECT_FALSE(table.column(c).paged());
+  }
+  ASSERT_EQ(table.num_rows(), 501u);
+  EXPECT_EQ(table.row(0), (ValueVector{Value::Int(0), Value::Text("row-0")}));
+  EXPECT_EQ(table.row(500), (ValueVector{Value::Int(999), Value::Text("x")}));
+
+  // The snapshot itself is untouched.
+  auto source = pagestore::OpenSnapshotPaged(path_, pool_);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EXPECT_EQ((*source)->num_rows(), 500u);
 }
 
-TEST_F(PagedMutationTest, EnsureMaterializedThenMutateWorks) {
+TEST_F(PagedMutationTest, MutatePagedTableDirectly) {
   Table table = MakeTable(400);
   MakePaged(&table);
 
-  ASSERT_TRUE(table.EnsureMaterialized().ok());
-  EXPECT_FALSE(table.is_paged());
-  ASSERT_EQ(table.rows().size(), 400u);
-
   auto updated = table.UpdateRows(
       {1}, {Value::Text("mutated")},
-      [](const ValueVector& row) { return row[0].as_int() < 10; });
+      {ColumnTest{0, [](const Value& v) { return v.as_int() < 10; }}});
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_EQ(*updated, 10u);
+  EXPECT_FALSE(table.is_paged());
+  ASSERT_EQ(table.rows().size(), 400u);
   EXPECT_EQ(table.rows()[0][1].as_text(), "mutated");
-
-  // Idempotent on an already-materialized table.
-  EXPECT_TRUE(table.EnsureMaterialized().ok());
+  EXPECT_EQ(table.rows()[10][1].as_text(), "row-10");
 }
 
 TEST_F(PagedMutationTest, DmlMaterializesThenMutatesPagedTargets) {
@@ -152,8 +155,8 @@ TEST_F(PagedMutationTest, DmlMaterializesThenMutatesPagedTargets) {
 }
 
 TEST_F(PagedMutationTest, MaterializedMutantDivergesFromSnapshot) {
-  // Two tables over the same snapshot: mutating one (after materialize)
-  // must not disturb the other's paged reads mid-stream.
+  // Two tables over the same snapshot: mutating one (its columns made
+  // resident) must not disturb the other's paged reads mid-stream.
   Database database;
   Table a = MakeTable(300);
   MakePaged(&a);

@@ -12,9 +12,11 @@
 #include "pagestore/buffer_pool.h"
 #include "pagestore/key_index.h"
 #include "relational/encoded_table.h"
+#include "relational/query_cache.h"
 #include "relational/sketch.h"
 #include "relational/table.h"
 #include "store/snapshot.h"
+#include "../store/snapshot_surgery.h"
 
 namespace dbre::pagestore {
 namespace {
@@ -234,6 +236,109 @@ TEST_F(PagedSnapshotTest, ErrorMessagesMatchTheWholeFileLoader) {
     EXPECT_EQ(paged.status().ToString(), whole.status().ToString())
         << corruption.name;
   }
+}
+
+// ---- canonical code pages ------------------------------------------------
+//
+// Past the checksums, both openers hold every code page to the canonical
+// encoding. Each case edits one column page, recomputes its CRC32C so the
+// edit reaches the structural checks, and expects the same ParseError from
+// the paged opener and the whole-file loader.
+
+class SnapshotCodePageTest : public PagedSnapshotTest {
+ protected:
+  static constexpr int kRows = 120;
+
+  // The snapshot of MixedTable(kRows) with `edit` applied to column page
+  // `column` and the page resealed; returns the file's path.
+  template <typename Edit>
+  std::string Corrupt(size_t column, const Edit& edit) {
+    const std::string path = Path("edited.snap");
+    EXPECT_TRUE(store::WriteSnapshot(MixedTable(kRows), path).ok());
+    std::string bytes = store::testing::ReadBytes(path);
+    const store::testing::ColumnPage page =
+        store::testing::FindColumnPage(bytes, column, kRows);
+    edit(&bytes, page);
+    store::testing::Reseal(&bytes, page);
+    store::testing::WriteBytes(path, bytes);
+    return path;
+  }
+
+  // Both openers reject `path` with the same error naming `defect`.
+  void ExpectRejected(const std::string& path, size_t column,
+                      const std::string& defect) {
+    auto paged = OpenSnapshotPaged(path, TinyPool());
+    auto whole = store::LoadSnapshot(path);
+    ASSERT_FALSE(whole.ok());
+    EXPECT_EQ(whole.status().code(), StatusCode::kParseError);
+    EXPECT_NE(whole.status().message().find(
+                  "column page " + std::to_string(column) + " " + defect),
+              std::string::npos)
+        << whole.status().ToString();
+    ASSERT_FALSE(paged.ok());
+    EXPECT_EQ(paged.status().ToString(), whole.status().ToString());
+  }
+};
+
+TEST_F(SnapshotCodePageTest, OutOfRangeCodeIsRejected) {
+  // City: three dictionary entries, so code 3 indexes past the dictionary.
+  const std::string path =
+      Corrupt(1, [](std::string* bytes, const store::testing::ColumnPage& p) {
+        ASSERT_EQ(p.dict_size, 3u);
+        store::testing::SetCode(bytes, p, 0, p.dict_size);
+      });
+  auto paged = OpenSnapshotPaged(path, TinyPool());
+  EXPECT_FALSE(paged.ok());
+  if (paged.ok()) {
+    // An opener that let the page through would hand the code to the
+    // partition builder, which indexes a dict_size-long array with it.
+    Table table(MixedTable(0).schema());
+    ASSERT_TRUE(table.AdoptPagedExtension(*paged).ok());
+    auto cache = table.query_cache();
+    ASSERT_TRUE(cache.ok());
+    (*cache)->Partition({1}, NullPolicy::kSkipNullRows);
+  }
+  ExpectRejected(path, 1, "has an out-of-range code");
+}
+
+TEST_F(SnapshotCodePageTest, OutOfOrderCodesAreRejected) {
+  // Row 0 takes code 1 before code 0 has appeared.
+  const std::string path =
+      Corrupt(1, [](std::string* bytes, const store::testing::ColumnPage& p) {
+        ASSERT_EQ(store::testing::CodeAt(*bytes, p, 0), 0u);
+        store::testing::SetCode(bytes, p, 0, 1);
+      });
+  ExpectRejected(path, 1, "has codes out of first-appearance order");
+}
+
+TEST_F(SnapshotCodePageTest, UnusedDictionaryEntryIsRejected) {
+  // Every row of the last city moves to the first: its entry is unused.
+  const std::string path =
+      Corrupt(1, [](std::string* bytes, const store::testing::ColumnPage& p) {
+        for (size_t row = 0; row < kRows; ++row) {
+          if (store::testing::CodeAt(*bytes, p, row) == p.dict_size - 1) {
+            store::testing::SetCode(bytes, p, row, 0);
+          }
+        }
+      });
+  ExpectRejected(path, 1, "has an unused dictionary entry");
+}
+
+TEST_F(SnapshotCodePageTest, LyingNullFlagIsRejected) {
+  // Ids hold no NULL; claiming one would invent a NULL group.
+  ExpectRejected(
+      Corrupt(0,
+              [](std::string* bytes, const store::testing::ColumnPage& p) {
+                store::testing::SetHasNull(bytes, p, true);
+              }),
+      0, "has a wrong NULL flag");
+  // Cities hold NULLs; denying them would silently drop the NULL group.
+  ExpectRejected(
+      Corrupt(1,
+              [](std::string* bytes, const store::testing::ColumnPage& p) {
+                store::testing::SetHasNull(bytes, p, false);
+              }),
+      1, "has a wrong NULL flag");
 }
 
 TEST_F(PagedSnapshotTest, OpenFailpointSurfaces) {

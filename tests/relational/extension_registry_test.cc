@@ -27,9 +27,9 @@ TEST(ExtensionRegistryTest, IdenticalContentIsShared) {
   EXPECT_FALSE(registry.Intern(&first));  // miss: becomes canonical
 
   Table second = MakeTable("R", 1, 50);
-  ASSERT_NE(second.shared_rows().get(), first.shared_rows().get());
+  ASSERT_NE(&second.column(0), &first.column(0));
   EXPECT_TRUE(registry.Intern(&second));  // hit: adopts the storage
-  EXPECT_EQ(second.shared_rows().get(), first.shared_rows().get());
+  EXPECT_EQ(&second.column(0), &first.column(0));
 
   ExtensionRegistry::Stats stats = registry.stats();
   EXPECT_EQ(stats.lookups, 2u);
@@ -45,8 +45,8 @@ TEST(ExtensionRegistryTest, DifferentContentIsNotShared) {
   EXPECT_FALSE(registry.Intern(&first));
   EXPECT_FALSE(registry.Intern(&shifted));
   EXPECT_FALSE(registry.Intern(&shorter));
-  EXPECT_NE(first.shared_rows().get(), shifted.shared_rows().get());
-  EXPECT_NE(first.shared_rows().get(), shorter.shared_rows().get());
+  EXPECT_NE(&first.column(0), &shifted.column(0));
+  EXPECT_NE(&first.column(0), &shorter.column(0));
   EXPECT_EQ(registry.stats().entries, 3u);
 }
 
@@ -65,7 +65,7 @@ TEST(ExtensionRegistryTest, SchemaDifferencesPreventSharing) {
         {Value::Int(1 + i), Value::Text("row-" + std::to_string(i))});
   }
   registry.Intern(&renamed);
-  EXPECT_NE(renamed.shared_rows().get(), first.shared_rows().get());
+  EXPECT_NE(&renamed.column(0), &first.column(0));
 }
 
 TEST(ExtensionRegistryTest, AdoptedTablesShareTheQueryCache) {
@@ -134,7 +134,7 @@ TEST(ExtensionRegistryTest, FingerprintCollisionsDoNotShareStorage) {
   constexpr uint64_t kColliding = 0xDEADBEEFCAFEF00Dull;
   EXPECT_FALSE(registry.InternPrecomputed(&first, kColliding));
   EXPECT_FALSE(registry.InternPrecomputed(&impostor, kColliding));
-  EXPECT_NE(impostor.shared_rows().get(), first.shared_rows().get());
+  EXPECT_NE(&impostor.column(0), &first.column(0));
   EXPECT_EQ(impostor.row(0)[0], Value::Int(500));
   EXPECT_EQ(first.row(0)[0], Value::Int(1));
 
@@ -142,7 +142,7 @@ TEST(ExtensionRegistryTest, FingerprintCollisionsDoNotShareStorage) {
   // either one still gets shared storage.
   Table twin = MakeTable("R", 500, 30);
   EXPECT_TRUE(registry.InternPrecomputed(&twin, kColliding));
-  EXPECT_EQ(twin.shared_rows().get(), impostor.shared_rows().get());
+  EXPECT_EQ(&twin.column(0), &impostor.column(0));
 }
 
 TEST(ExtensionRegistryTest, ComputeFingerprintTracksContent) {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "relational/extension_registry.h"
 #include "relational/table.h"
 #include "store/crc32c.h"
+#include "snapshot_surgery.h"
 
 namespace dbre::store {
 namespace {
@@ -79,9 +81,20 @@ TEST_F(SnapshotTest, RoundTripsSchemaRowsAndFingerprint) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->fingerprint, written->fingerprint);
   EXPECT_EQ(loaded->schema.name(), "orders");
-  ASSERT_EQ(loaded->rows->size(), table.num_rows());
+  ASSERT_EQ(loaded->rows, table.num_rows());
+  ASSERT_EQ(loaded->columns.size(), table.schema().arity());
+  for (size_t c = 0; c < table.schema().arity(); ++c) {
+    // The page is the column, verbatim.
+    EXPECT_EQ(loaded->columns[c].codes, table.column(c).codes) << c;
+    EXPECT_EQ(loaded->columns[c].dictionary, table.column(c).dictionary) << c;
+    EXPECT_EQ(loaded->columns[c].has_null, table.column(c).has_null) << c;
+    EXPECT_EQ(loaded->columns[c].typed, table.column(c).typed) << c;
+  }
+  Table restored(loaded->schema);
+  ASSERT_TRUE(
+      restored.AdoptColumns(std::move(loaded->columns), loaded->rows).ok());
   for (size_t i = 0; i < table.num_rows(); ++i) {
-    EXPECT_EQ((*loaded->rows)[i], table.row(i)) << "row " << i;
+    EXPECT_EQ(restored.row(i), table.row(i)) << "row " << i;
   }
 }
 
@@ -93,7 +106,8 @@ TEST_F(SnapshotTest, RestoredTableRecomputesTheSameFingerprint) {
   ASSERT_TRUE(loaded.ok());
 
   Table restored(loaded->schema);
-  ASSERT_TRUE(restored.AdoptExtension(loaded->rows).ok());
+  ASSERT_TRUE(
+      restored.AdoptColumns(std::move(loaded->columns), loaded->rows).ok());
   // The footer fingerprint is not just stored — it is the same value a
   // fresh hash of the restored rows produces.
   EXPECT_EQ(ExtensionRegistry::ComputeFingerprint(restored),
@@ -105,7 +119,7 @@ TEST_F(SnapshotTest, EmptyExtensionRoundTrips) {
   ASSERT_TRUE(WriteSnapshot(table, Path("empty.snap")).ok());
   auto loaded = LoadSnapshot(Path("empty.snap"));
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->rows->empty());
+  EXPECT_EQ(loaded->rows, 0u);
 }
 
 TEST_F(SnapshotTest, ReadSnapshotInfoMatchesWriterWithoutDecoding) {
@@ -144,6 +158,57 @@ TEST_F(SnapshotTest, DetectsCorruptionAnywhere) {
     out.close();
     auto loaded = LoadSnapshot(Path("bad.snap"));
     EXPECT_FALSE(loaded.ok()) << "flip at offset " << offset;
+  }
+}
+
+// Past the checksums, every code page must be a canonical encoding: the
+// loader installs the codes as they are, so each defect is a ParseError.
+TEST_F(SnapshotTest, RejectsNonCanonicalCodePages) {
+  constexpr int kRows = 90;
+  ASSERT_TRUE(WriteSnapshot(MixedTable(kRows), Path("good.snap")).ok());
+  const std::string good = testing::ReadBytes(Path("good.snap"));
+  struct Defect {
+    const char* message;
+    size_t column;
+    std::function<void(std::string*, const testing::ColumnPage&)> edit;
+  };
+  const std::vector<Defect> defects = {
+      {"has an out-of-range code", 1,
+       [](std::string* b, const testing::ColumnPage& p) {
+         testing::SetCode(b, p, 0, p.dict_size);
+       }},
+      {"has codes out of first-appearance order", 1,
+       [](std::string* b, const testing::ColumnPage& p) {
+         testing::SetCode(b, p, 0, 1);
+       }},
+      {"has an unused dictionary entry", 1,
+       [](std::string* b, const testing::ColumnPage& p) {
+         for (size_t row = 0; row < kRows; ++row) {
+           if (testing::CodeAt(*b, p, row) == p.dict_size - 1) {
+             testing::SetCode(b, p, row, 0);
+           }
+         }
+       }},
+      {"has a wrong NULL flag", 0,
+       [](std::string* b, const testing::ColumnPage& p) {
+         testing::SetHasNull(b, p, true);
+       }},
+  };
+  for (const Defect& defect : defects) {
+    std::string bytes = good;
+    const testing::ColumnPage page =
+        testing::FindColumnPage(bytes, defect.column, kRows);
+    defect.edit(&bytes, page);
+    testing::Reseal(&bytes, page);
+    testing::WriteBytes(Path("bad.snap"), bytes);
+    auto loaded = LoadSnapshot(Path("bad.snap"));
+    ASSERT_FALSE(loaded.ok()) << defect.message;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_NE(loaded.status().message().find(
+                  "column page " + std::to_string(defect.column) + " " +
+                  defect.message),
+              std::string::npos)
+        << loaded.status().ToString();
   }
 }
 

@@ -86,7 +86,7 @@ TEST_F(StoreTest, SnapshotsAreContentAddressedAndShared) {
 
   auto loaded = (*store)->LoadSnapshot(first->fingerprint);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->rows->size(), 10u);
+  EXPECT_EQ(loaded->rows, 10u);
   EXPECT_EQ(loaded->fingerprint, first->fingerprint);
 
   EXPECT_FALSE((*store)->LoadSnapshot(first->fingerprint + 1).ok());
@@ -334,7 +334,7 @@ TEST_F(StoreTest, ReopeningAnExistingRootKeepsData) {
   EXPECT_TRUE((*reopened)->HasSnapshot(fingerprint));
   auto loaded = (*reopened)->LoadSnapshot(fingerprint);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->rows->size(), 10u);
+  EXPECT_EQ(loaded->rows, 10u);
 }
 
 }  // namespace
