@@ -5,19 +5,6 @@
 namespace dbre::batch {
 namespace {
 
-// Kleene truth tables, indexed [a * 3 + b] with F=0, T=1, U=2.
-constexpr Truth kAnd[9] = {
-    Truth::kFalse, Truth::kFalse, Truth::kFalse,    // F & {F,T,U}
-    Truth::kFalse, Truth::kTrue,  Truth::kUnknown,  // T & {F,T,U}
-    Truth::kFalse, Truth::kUnknown, Truth::kUnknown,  // U & {F,T,U}
-};
-constexpr Truth kOr[9] = {
-    Truth::kFalse, Truth::kTrue, Truth::kUnknown,  // F | {F,T,U}
-    Truth::kTrue,  Truth::kTrue, Truth::kTrue,     // T | {F,T,U}
-    Truth::kUnknown, Truth::kTrue, Truth::kUnknown,  // U | {F,T,U}
-};
-constexpr Truth kNot[3] = {Truth::kTrue, Truth::kFalse, Truth::kUnknown};
-
 // Prefetch distance for the random-access probe kernels: far enough ahead
 // to cover a memory load, close enough that the lines are still resident.
 constexpr size_t kLookahead = 16;
@@ -26,62 +13,20 @@ obs::Counter* KernelCounter(Kernel kernel) {
   obs::Registry& registry = obs::Registry::Default();
   const char* name;
   switch (kernel) {
-    case Kernel::kFilter: name = "filter"; break;
     case Kernel::kProbe: name = "probe"; break;
     case Kernel::kPartition: name = "partition"; break;
-    case Kernel::kScan: name = "scan"; break;
-    case Kernel::kJoin: name = "join"; break;
     default: name = "other"; break;
   }
   return registry.GetCounter("dbre_batch_rows_total", {{"kernel", name}},
-                             "Rows processed by vectorized batch kernels");
+                             "Rows processed by batch kernels");
 }
 
 }  // namespace
 
 void AddKernelRows(Kernel kernel, size_t rows) {
-  static obs::Counter* const counters[] = {
-      KernelCounter(Kernel::kFilter), KernelCounter(Kernel::kProbe),
-      KernelCounter(Kernel::kPartition), KernelCounter(Kernel::kScan),
-      KernelCounter(Kernel::kJoin)};
+  static obs::Counter* const counters[] = {KernelCounter(Kernel::kProbe),
+                                           KernelCounter(Kernel::kPartition)};
   counters[static_cast<size_t>(kernel)]->Add(rows);
-}
-
-void GatherTruth(const uint32_t* codes, size_t n, const Truth* code_truth,
-                 Truth null_truth, uint32_t null_code, Truth* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = codes[i] == null_code ? null_truth : code_truth[codes[i]];
-  }
-}
-
-void FillTruth(Truth value, size_t n, Truth* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = value;
-}
-
-void TruthAnd(const Truth* a, const Truth* b, size_t n, Truth* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = kAnd[static_cast<size_t>(a[i]) * 3 + static_cast<size_t>(b[i])];
-  }
-}
-
-void TruthOr(const Truth* a, const Truth* b, size_t n, Truth* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = kOr[static_cast<size_t>(a[i]) * 3 + static_cast<size_t>(b[i])];
-  }
-}
-
-void TruthNot(const Truth* a, size_t n, Truth* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = kNot[static_cast<size_t>(a[i])];
-}
-
-size_t SelectTrue(const Truth* truth, size_t n, size_t base,
-                  uint32_t* sel_out) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    sel_out[count] = static_cast<uint32_t>(base + i);
-    count += truth[i] == Truth::kTrue ? 1 : 0;
-  }
-  return count;
 }
 
 void GatherKeys(const uint32_t* codes, size_t n, const uint64_t* code_keys,

@@ -1,27 +1,23 @@
-// Vectorized batch execution over dictionary-encoded columns.
+// Batch kernels over dictionary-encoded columns.
 //
-// The tuple-at-a-time paths (executor predicate evaluation, cross-table
-// membership probes, multi-column grouping) pay an interpretation and
-// cache-miss penalty per row. This layer restructures them column-at-a-time
-// over fixed-size batches of dictionary codes, in the style of the
-// tpl/NoisePage VectorProjectionIterator design:
+// The query cache's grouping passes and the algebra layer's cross-table
+// membership probes would pay an interpretation and cache-miss penalty per
+// row. This layer runs them column-at-a-time over fixed-size batches of
+// dictionary codes, in the style of the tpl/NoisePage
+// VectorProjectionIterator design:
 //
 //   * a batch is up to kBatchSize consecutive rows of one column's code
-//     array; NULL rows carry EncodedTable::kNullCode and flow through a
-//     dedicated null channel (Val-style: data plus null indicator, no
-//     per-row branching in the callers);
-//   * predicates evaluate as SQL ternary-logic vectors (Truth arrays), one
-//     lane per row, composed with Kleene AND/OR/NOT kernels; a final
-//     SelectTrue compacts the kTrue lanes into a selection vector of row
-//     ids;
+//     array; NULL rows carry EncodedTable::kNullCode and map to a caller-
+//     chosen null key, so callers do not branch per row;
 //   * membership tests gather per-row 64-bit keys through a code-indexed
 //     table, then probe a FlatSet64 / BloomFilter with software prefetch
 //     issued a fixed distance ahead, overlapping the random-access loads
 //     that dominate large probes.
 //
 // Kernels are branch-light loops over flat arrays — the form compilers
-// auto-vectorize — and every kernel reports its processed rows to the
+// auto-vectorize — and report their processed rows to the
 // dbre_batch_rows_total metric so throughput is observable per kernel.
+// The SQL executor does not use them: it is the tuple-at-a-time reference.
 #ifndef DBRE_RELATIONAL_COLUMN_BATCH_H_
 #define DBRE_RELATIONAL_COLUMN_BATCH_H_
 
@@ -37,17 +33,6 @@ namespace dbre::batch {
 // Rows per batch: large enough to amortize per-batch overhead, small
 // enough that a batch's working vectors stay L1/L2-resident.
 inline constexpr size_t kBatchSize = 2048;
-
-// SQL three-valued logic, one lane per row.
-enum class Truth : uint8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
-
-// A view of one column's codes for `count` (≤ kBatchSize) consecutive rows
-// starting at absolute row `start`.
-struct ColumnBatch {
-  const uint32_t* codes = nullptr;
-  size_t start = 0;
-  size_t count = 0;
-};
 
 // Chunks [0, num_rows) into kBatchSize batches.
 class BatchIterator {
@@ -70,35 +55,12 @@ class BatchIterator {
 
 // Kernel families, for the per-kernel row-throughput metric.
 enum class Kernel {
-  kFilter,     // ternary predicate evaluation + selection
   kProbe,      // hash/bloom membership probes
   kPartition,  // grouped-distinct building
-  kScan,       // executor scan/filter batches
-  kJoin,       // executor hash-join probes
 };
 
 // Adds `rows` to dbre_batch_rows_total{kernel=...}.
 void AddKernelRows(Kernel kernel, size_t rows);
-
-// --- Ternary predicate kernels -------------------------------------------
-
-// out[i] = codes[i] == null_code ? null_truth : code_truth[codes[i]].
-// `code_truth` is a per-dictionary-code truth table (the predicate
-// evaluated once per distinct value instead of once per row).
-void GatherTruth(const uint32_t* codes, size_t n, const Truth* code_truth,
-                 Truth null_truth, uint32_t null_code, Truth* out);
-
-void FillTruth(Truth value, size_t n, Truth* out);
-
-// Kleene logic, lane-wise. `out` may alias `a`.
-void TruthAnd(const Truth* a, const Truth* b, size_t n, Truth* out);
-void TruthOr(const Truth* a, const Truth* b, size_t n, Truth* out);
-void TruthNot(const Truth* a, size_t n, Truth* out);
-
-// Compacts lanes with truth[i] == kTrue into absolute row ids base+i.
-// Returns the number selected; `sel_out` needs room for n entries.
-size_t SelectTrue(const Truth* truth, size_t n, size_t base,
-                  uint32_t* sel_out);
 
 // --- Key gather / membership kernels -------------------------------------
 

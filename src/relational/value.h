@@ -1,12 +1,14 @@
 // Runtime values stored in table cells.
 //
 // A `Value` is a tagged union of NULL, 64-bit integer, double, boolean and
-// string. Values order NULL-first, then by type tag, then by payload; this
-// total order lets value vectors act as map/set keys in projection and
+// string. Values order NULL-first, then by type tag, then by payload
+// (doubles with NaN after every number); this strict weak order lets value
+// vectors be sorted and act as map/set keys in projection and
 // dependency-checking code.
 #ifndef DBRE_RELATIONAL_VALUE_H_
 #define DBRE_RELATIONAL_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -90,13 +92,21 @@ class Value {
   static Result<Value> Parse(std::string_view text, DataType type,
                              NullHandling nulls = NullHandling::kLenient);
 
-  // NULL-first total order across type tags; used for container keys, not
-  // SQL comparison semantics.
+  // Equality is the payload's: NaN equals nothing, itself included.
   friend bool operator==(const Value& a, const Value& b) {
     return a.data_ == b.data_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
+  // NULL-first strict weak order across type tags; used for sorting and
+  // container keys, not SQL comparison semantics. Doubles order NaN after
+  // every number (all NaNs equivalent): the payload's own `<` is no strict
+  // weak order once a NaN is present, and std::sort over it is undefined.
   friend bool operator<(const Value& a, const Value& b) {
+    if (a.is_real() && b.is_real()) {
+      const double x = *std::get_if<double>(&a.data_);
+      const double y = *std::get_if<double>(&b.data_);
+      return x < y || (std::isnan(y) && !std::isnan(x));
+    }
     return a.data_ < b.data_;
   }
 

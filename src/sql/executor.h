@@ -7,13 +7,11 @@
 // (correlated) EXISTS subqueries, DISTINCT, COUNT, INTERSECT/UNION/MINUS —
 // with standard SQL three-valued NULL semantics for comparisons.
 //
-// The reference implementation is a tuple-at-a-time nested-loop evaluator
-// over the catalog; it exists for fidelity and for tooling (the workbench,
-// tests cross-checking the algebra layer). Statements whose predicates
-// compile into per-dictionary-code ternary truth tables take a batched
-// columnar fast path over the table's encoded image instead — same
-// results, same errors, observable via dbre_executor_paths_total — and
-// fall back to the reference loop otherwise.
+// It is a tuple-at-a-time nested-loop evaluator over the catalog that reads
+// each table through its RowReader. It is the reference the algebra layer
+// (relational/algebra.h, QueryCache) is cross-checked against, so it takes
+// no answer from the QueryCache's memos; discovery itself runs on the
+// algebra layer.
 #ifndef DBRE_SQL_EXECUTOR_H_
 #define DBRE_SQL_EXECUTOR_H_
 
@@ -44,9 +42,6 @@ struct ResultSet {
 struct ExecutorOptions {
   // Safety valve for runaway cross products in tooling contexts; 0 = off.
   size_t max_intermediate_rows = 0;
-  // Forces the tuple-at-a-time reference enumeration. Results are
-  // identical either way; the crosscheck tests flip this to prove it.
-  bool disable_vectorized = false;
 };
 
 // Executes a parsed statement.
@@ -59,8 +54,8 @@ Result<ResultSet> ExecuteQuery(const Database& database,
                                std::string_view sql,
                                const ExecutorOptions& options = {});
 
-// The paper's ‖·‖, computed through the executor:
-// SELECT COUNT(DISTINCT x1, ..., xn) FROM relation.
+// The paper's ‖·‖, computed through the executor: the number of NULL-free
+// rows of SELECT DISTINCT x1, ..., xn FROM relation.
 Result<size_t> CountDistinct(const Database& database,
                              const std::string& relation,
                              const std::vector<std::string>& attributes);

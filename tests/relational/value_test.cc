@@ -1,5 +1,7 @@
 #include "relational/value.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace dbre {
@@ -31,6 +33,22 @@ TEST(ValueTest, OrderingIsTotal) {
   EXPECT_LT(Value::Null(), Value::Int(0));  // NULL first
   EXPECT_LT(Value::Int(1), Value::Int(2));
   EXPECT_LT(Value::Text("a"), Value::Text("b"));
+}
+
+TEST(ValueTest, NanOrdersAfterEveryNumber) {
+  const Value nan = Value::Real(std::nan(""));
+  const Value one = Value::Real(1.0);
+  EXPECT_LT(one, nan);
+  EXPECT_FALSE(nan < one);
+  EXPECT_LT(Value::Real(-INFINITY), Value::Real(INFINITY));
+  EXPECT_LT(Value::Real(INFINITY), nan);
+  // NaNs are equivalent to each other under the order, yet never equal.
+  EXPECT_FALSE(nan < Value::Real(-std::nan("")));
+  EXPECT_FALSE(Value::Real(-std::nan("")) < nan);
+  EXPECT_NE(nan, nan);
+  // Tags still order first: every double sorts before every bool.
+  EXPECT_LT(nan, Value::Boolean(false));
+  EXPECT_LT(Value::Int(5), nan);
 }
 
 TEST(ValueTest, HashConsistentWithEquality) {
