@@ -10,12 +10,21 @@
 //      (extension: one row per distinct non-NULL A_i value, dependent
 //      values taken from the first witnessing tuple — they agree whenever
 //      the FD actually holds; enforced FDs resolve conflicts
-//      first-wins). B_i is removed from R_i (schema and rows), the IND
-//      R_i[A_i] ≪ R_p[A_i] is added, and every other occurrence of
-//      R_i[C], C ⊆ A_i ∪ B_i, is rewritten to R_p[C].
+//      first-wins). That is, the extension is the first witnesses of the
+//      LHS partition π_{A_i}, in value order. B_i is removed from R_i
+//      (schema and columns), the IND R_i[A_i] ≪ R_p[A_i] is added, and
+//      every other occurrence of R_i[C], C ⊆ A_i ∪ B_i, is rewritten to
+//      R_p[C].
 //      (The paper's text reads "add R_i.A_i to K", but its own output
 //      schema keys A_i in R_p, not R_i — we follow the output.)
 //   3. RIC = { R_i[A_i] ≪ R_j[A_j] ∈ IND : R_j.A_j ∈ K }.
+//
+// Every new extension is built from the source's encoded columns, never
+// from decoded rows: the groups' codes are gathered, ordered by the
+// columns' memoized value ranks (QueryCache::ValueOrderOf) and renumbered
+// into canonical columns. Rows come out in Value order, as sorting the
+// decoded rows would put them. An off-type source cell fails as
+// Table::Insert would, naming the first such row.
 //
 // The input database is cloned; the result owns the restructured catalog
 // with all new key declarations, so downstream steps (Translate, normal-

@@ -29,22 +29,6 @@ void AddKernelRows(Kernel kernel, size_t rows) {
   counters[static_cast<size_t>(kernel)]->Add(rows);
 }
 
-void GatherKeys(const uint32_t* codes, size_t n, const uint64_t* code_keys,
-                uint64_t null_key, uint32_t null_code, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = codes[i] == null_code ? null_key : code_keys[codes[i]];
-  }
-}
-
-void CombineKeys(const uint32_t* codes, size_t n, const uint64_t* code_keys,
-                 uint64_t null_key, uint32_t null_code, uint64_t* inout) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t key =
-        codes[i] == null_code ? null_key : code_keys[codes[i]];
-    inout[i] = SketchHashCombine(inout[i], key);
-  }
-}
-
 size_t ProbeSet(const FlatSet64& set, const uint64_t* keys, size_t n,
                 uint8_t* hit) {
   size_t hits = 0;

@@ -7,12 +7,10 @@
 // VectorProjectionIterator design:
 //
 //   * a batch is up to kBatchSize consecutive rows of one column's code
-//     array; NULL rows carry EncodedTable::kNullCode and map to a caller-
-//     chosen null key, so callers do not branch per row;
-//   * membership tests gather per-row 64-bit keys through a code-indexed
-//     table, then probe a FlatSet64 / BloomFilter with software prefetch
-//     issued a fixed distance ahead, overlapping the random-access loads
-//     that dominate large probes.
+//     array (NULL rows carry EncodedTable::kNullCode);
+//   * membership tests probe per-row 64-bit keys against a FlatSet64 /
+//     BloomFilter with software prefetch issued a fixed distance ahead,
+//     overlapping the random-access loads that dominate large probes.
 //
 // Kernels are branch-light loops over flat arrays — the form compilers
 // auto-vectorize — and report their processed rows to the
@@ -62,16 +60,7 @@ enum class Kernel {
 // Adds `rows` to dbre_batch_rows_total{kernel=...}.
 void AddKernelRows(Kernel kernel, size_t rows);
 
-// --- Key gather / membership kernels -------------------------------------
-
-// out[i] = codes[i] == null_code ? null_key : code_keys[codes[i]].
-void GatherKeys(const uint32_t* codes, size_t n, const uint64_t* code_keys,
-                uint64_t null_key, uint32_t null_code, uint64_t* out);
-
-// inout[i] = SketchHashCombine(inout[i], gathered key) — builds multi-
-// column row hashes one column at a time.
-void CombineKeys(const uint32_t* codes, size_t n, const uint64_t* code_keys,
-                 uint64_t null_key, uint32_t null_code, uint64_t* inout);
+// --- Membership kernels --------------------------------------------------
 
 // Probes `keys[0..n)` against a flat set with prefetch lookahead.
 // hit[i] ∈ {0,1}; returns the number of hits.

@@ -119,6 +119,7 @@ QueryCache::Memos QueryCache::MemosAvoiding(
   copy(memos_.dictionary_sets, &kept.dictionary_sets, one);
   copy(memos_.int64_dictionary_sets, &kept.int64_dictionary_sets, one);
   copy(memos_.dictionary_keys, &kept.dictionary_keys, one);
+  copy(memos_.value_orders, &kept.value_orders, one);
   copy(memos_.column_sketches, &kept.column_sketches, one);
   copy(memos_.projection_sketches, &kept.projection_sketches, avoids);
   copy(memos_.fd_verdicts, &kept.fd_verdicts, fd);
@@ -499,6 +500,61 @@ std::shared_ptr<const DictionaryKeys> QueryCache::DictKeys(size_t column) {
       }));
   memos_.dictionary_keys.emplace(column, keys);
   return keys;
+}
+
+std::shared_ptr<const ValueOrder> QueryCache::ValueOrderOf(size_t column) {
+  static const HitMiss counters = CacheCounters("value_order");
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = memos_.value_orders.find(column);
+  counters.Count(it != memos_.value_orders.end());
+  if (it != memos_.value_orders.end()) return it->second;
+  encoded_.EnsureColumn(column);
+  const uint32_t entries = static_cast<uint32_t>(encoded_.dict_size(column));
+  auto order = std::make_shared<ValueOrder>();
+  order->sorted.resize(entries);
+  order->rank.resize(entries);
+  if (encoded_.declared_type(column) == DataType::kInt64 &&
+      encoded_.column_typed(column)) {
+    // Distinct integers: sorting (key, code) pairs is the whole order.
+    std::vector<std::pair<int64_t, uint32_t>> keyed;
+    keyed.reserve(entries);
+    CheckDictStream(encoded_.ForEachDictValue(
+        column, [&keyed](uint32_t code, const Value& value) {
+          keyed.emplace_back(value.as_int(), code);
+        }));
+    std::sort(keyed.begin(), keyed.end());
+    for (uint32_t i = 0; i < entries; ++i) {
+      order->sorted[i] = keyed[i].second;
+      order->rank[keyed[i].second] = i;
+    }
+  } else {
+    std::vector<Value> copied;
+    const Value* values = nullptr;
+    if (encoded_.dict_resident(column)) {
+      values = entries > 0 ? &encoded_.Decode(column, 0) : nullptr;
+    } else {
+      copied.reserve(entries);
+      CheckDictStream(encoded_.ForEachDictValue(
+          column, [&copied](uint32_t, const Value& value) {
+            copied.push_back(value);
+          }));
+      values = copied.data();
+    }
+    std::vector<uint32_t>& sorted = order->sorted;
+    std::iota(sorted.begin(), sorted.end(), uint32_t{0});
+    // Equivalent entries (NaNs) keep code order, so the order is total.
+    std::sort(sorted.begin(), sorted.end(), [values](uint32_t a, uint32_t b) {
+      if (values[a] < values[b]) return true;
+      return !(values[b] < values[a]) && a < b;
+    });
+    for (uint32_t i = 0; i < entries; ++i) {
+      const bool tied = i > 0 && !(values[sorted[i - 1]] < values[sorted[i]]);
+      order->rank[sorted[i]] = tied ? order->rank[sorted[i - 1]] : i;
+      order->ties |= tied;
+    }
+  }
+  memos_.value_orders.emplace(column, order);
+  return order;
 }
 
 std::shared_ptr<const ColumnSketch> QueryCache::ColumnSketchFor(

@@ -10,7 +10,9 @@
 //   * `CodePartition` — the grouping of rows by their projected code tuple
 //     (TANE-style π_X, with singletons kept so |π_X| is exact);
 //   * the decoded distinct projection as a `ValueVectorSet` (needed when two
-//     tables' projections must be compared — codes are table-local).
+//     tables' projections must be compared — codes are table-local);
+//   * per column, the dictionary in value order (`ValueOrder`), which
+//     Restruct sorts the relations it builds by.
 //
 // FD checks reroute through cached partitions: X → A holds iff refining the
 // cached π_X (NULL-LHS rows skipped) by the cached π_A (NULLs grouped as
@@ -86,6 +88,18 @@ struct DictionaryKeys {
   std::vector<uint64_t> int64_keys;  // empty unless typed int64
 };
 
+// One column's dictionary codes in Value::operator< order. `sorted` lists
+// every code in ascending value order; `rank[code]` is the position in
+// `sorted` of the first value equivalent to it, so two codes' ranks
+// compare exactly as their values do. Equivalent distinct entries exist
+// only as NaNs (each NaN is its own entry, all NaNs are equivalent);
+// they share a rank, and `ties` says whether that happened.
+struct ValueOrder {
+  std::vector<uint32_t> sorted;
+  std::vector<uint32_t> rank;
+  bool ties = false;
+};
+
 // Bloom + HLL over one column's distinct values. The Bloom side is built
 // over exactly the dictionary's sketch hashes, so a miss *proves* a value
 // absent from the column; the HLL side estimates are advisory.
@@ -131,6 +145,7 @@ class QueryCache {
     std::map<size_t, std::shared_ptr<const ValueSet>> dictionary_sets;
     std::map<size_t, std::shared_ptr<const FlatSet64>> int64_dictionary_sets;
     std::map<size_t, std::shared_ptr<const DictionaryKeys>> dictionary_keys;
+    std::map<size_t, std::shared_ptr<const ValueOrder>> value_orders;
     std::map<size_t, std::shared_ptr<const ColumnSketch>> column_sketches;
     std::map<std::vector<size_t>, std::shared_ptr<const ProjectionSketch>>
         projection_sketches;
@@ -204,6 +219,10 @@ class QueryCache {
   // g3 error of lhs → rhs (see FunctionalDependencyError in algebra.h).
   double FdError(const std::vector<size_t>& lhs_columns,
                  const std::vector<size_t>& rhs_columns);
+
+  // Column `column`'s dictionary in value order, memoized and shared.
+  // Typed int64 columns sort their raw keys; others sort the values.
+  std::shared_ptr<const ValueOrder> ValueOrderOf(size_t column);
 
   // Flat dictionary probe keys of one column, memoized and shared.
   std::shared_ptr<const DictionaryKeys> DictKeys(size_t column);

@@ -398,14 +398,6 @@ ValueVector Table::ProjectRow(const ValueVector& row,
   return out;
 }
 
-Result<ValueVectorSet> Table::DistinctProjection(
-    const AttributeSet& attributes) const {
-  DBRE_ASSIGN_OR_RETURN(std::vector<size_t> indexes,
-                        ProjectionIndexes(attributes));
-  DBRE_ASSIGN_OR_RETURN(std::shared_ptr<QueryCache> cache, query_cache());
-  return *cache->DistinctProjection(indexes);
-}
-
 Result<size_t> Table::DistinctCount(const AttributeSet& attributes) const {
   DBRE_ASSIGN_OR_RETURN(std::vector<size_t> indexes,
                         ProjectionIndexes(attributes));

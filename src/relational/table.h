@@ -139,10 +139,6 @@ class Table {
   static ValueVector ProjectRow(const ValueVector& row,
                                 const std::vector<size_t>& indexes);
 
-  // Distinct projection r[X] excluding sub-rows containing NULL.
-  Result<ValueVectorSet> DistinctProjection(
-      const AttributeSet& attributes) const;
-
   // ‖r[X]‖ — the number of distinct non-NULL sub-rows on `attributes`.
   Result<size_t> DistinctCount(const AttributeSet& attributes) const;
 

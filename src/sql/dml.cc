@@ -1,6 +1,7 @@
 #include "sql/dml.h"
 
 #include <algorithm>
+#include <compare>
 #include <optional>
 #include <utility>
 
@@ -11,26 +12,17 @@ namespace dbre::sql {
 namespace {
 
 // Numeric-coercing comparison mirroring the executor's CompareValues, but
-// total: incomparable types yield nullopt and the predicate is false.
-std::optional<int> Compare(const Value& a, const Value& b) {
-  if (a.is_int() && b.is_int()) {
-    return a.as_int() < b.as_int() ? -1 : (a.as_int() > b.as_int() ? 1 : 0);
-  }
+// total: incomparable types yield nullopt and the predicate is false. A NaN
+// operand is unordered: every comparison but <> is false.
+std::optional<std::partial_ordering> Compare(const Value& a, const Value& b) {
+  if (a.is_int() && b.is_int()) return a.as_int() <=> b.as_int();
   if ((a.is_int() || a.is_real()) && (b.is_int() || b.is_real())) {
     double da = a.is_int() ? static_cast<double>(a.as_int()) : a.as_real();
     double db = b.is_int() ? static_cast<double>(b.as_int()) : b.as_real();
-    if (da < db) return -1;
-    if (da > db) return 1;
-    if (da == db) return 0;
-    return std::nullopt;  // NaN involved: no ordering, predicate false
+    return da <=> db;
   }
-  if (a.is_text() && b.is_text()) {
-    int cmp = a.as_text().compare(b.as_text());
-    return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-  }
-  if (a.is_bool() && b.is_bool()) {
-    return static_cast<int>(a.as_bool()) - static_cast<int>(b.as_bool());
-  }
+  if (a.is_text() && b.is_text()) return a.as_text() <=> b.as_text();
+  if (a.is_bool() && b.is_bool()) return a.as_bool() <=> b.as_bool();
   return std::nullopt;
 }
 
@@ -54,7 +46,7 @@ bool CellMatches(const SimplePredicate& predicate, const Value& cell) {
       break;
   }
   if (cell.is_null() || predicate.literal.is_null()) return false;
-  std::optional<int> cmp = Compare(cell, predicate.literal);
+  std::optional<std::partial_ordering> cmp = Compare(cell, predicate.literal);
   if (!cmp.has_value()) return false;
   switch (predicate.op) {
     case Op::kEq:

@@ -1,6 +1,8 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <cmath>
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -54,23 +56,18 @@ struct Binding {
 
 using Frame = std::vector<Binding>;
 
-// Numeric-coercing comparison; NULLs must be handled by the caller.
-Result<int> CompareValues(const Value& a, const Value& b) {
-  if (a.is_int() && b.is_int()) {
-    return a.as_int() < b.as_int() ? -1 : (a.as_int() > b.as_int() ? 1 : 0);
-  }
+// Numeric-coercing comparison; NULLs must be handled by the caller. A NaN
+// operand is unordered, as in IEEE 754: = < <= > >= are false, <> is true.
+Result<std::partial_ordering> CompareValues(const Value& a, const Value& b) {
+  using Order = std::partial_ordering;
+  if (a.is_int() && b.is_int()) return Order(a.as_int() <=> b.as_int());
   if ((a.is_int() || a.is_real()) && (b.is_int() || b.is_real())) {
     double da = a.is_int() ? static_cast<double>(a.as_int()) : a.as_real();
     double db = b.is_int() ? static_cast<double>(b.as_int()) : b.as_real();
-    return da < db ? -1 : (da > db ? 1 : 0);
+    return da <=> db;
   }
-  if (a.is_text() && b.is_text()) {
-    int cmp = a.as_text().compare(b.as_text());
-    return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-  }
-  if (a.is_bool() && b.is_bool()) {
-    return static_cast<int>(a.as_bool()) - static_cast<int>(b.as_bool());
-  }
+  if (a.is_text() && b.is_text()) return Order(a.as_text() <=> b.as_text());
+  if (a.is_bool() && b.is_bool()) return Order(a.as_bool() <=> b.as_bool());
   return InvalidArgumentError("cannot compare " + a.ToString() + " with " +
                               b.ToString());
 }
@@ -113,7 +110,11 @@ class Evaluator {
       return InvalidArgumentError(
           "set operation over differently-shaped selects");
     }
-    // SQL set operations work on distinct rows.
+    // SQL set operations work on distinct rows, matched as the algebra
+    // layer's join counts match them, by Value::operator==: a row holding a
+    // NaN equals no row. Other rows are equal exactly when operator< ties
+    // them, so once the right side's NaN rows are set aside the sorted-range
+    // algorithms match correctly.
     auto distinct = [](std::vector<ValueVector> rows) {
       std::sort(rows.begin(), rows.end());
       rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
@@ -121,18 +122,29 @@ class Evaluator {
     };
     std::vector<ValueVector> lhs = distinct(std::move(left.rows));
     std::vector<ValueVector> rhs = distinct(std::move(right.rows));
+    auto rhs_nan = std::stable_partition(
+        rhs.begin(), rhs.end(), [](const ValueVector& row) {
+          return std::none_of(row.begin(), row.end(), [](const Value& v) {
+            return v.is_real() && std::isnan(v.as_real());
+          });
+        });
     std::vector<ValueVector> out;
     switch (statement.set_op) {
       case SelectStatement::SetOp::kIntersect:
-        std::set_intersection(lhs.begin(), lhs.end(), rhs.begin(),
-                              rhs.end(), std::back_inserter(out));
+        std::set_intersection(lhs.begin(), lhs.end(), rhs.begin(), rhs_nan,
+                              std::back_inserter(out));
         break;
-      case SelectStatement::SetOp::kUnion:
-        std::set_union(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
+      case SelectStatement::SetOp::kUnion: {
+        std::set_union(lhs.begin(), lhs.end(), rhs.begin(), rhs_nan,
                        std::back_inserter(out));
+        const size_t matched = out.size();
+        out.insert(out.end(), std::make_move_iterator(rhs_nan),
+                   std::make_move_iterator(rhs.end()));
+        std::inplace_merge(out.begin(), out.begin() + matched, out.end());
         break;
+      }
       case SelectStatement::SetOp::kMinus:
-        std::set_difference(lhs.begin(), lhs.end(), rhs.begin(), rhs.end(),
+        std::set_difference(lhs.begin(), lhs.end(), rhs.begin(), rhs_nan,
                             std::back_inserter(out));
         break;
       case SelectStatement::SetOp::kNone:
@@ -395,7 +407,8 @@ class Evaluator {
     DBRE_ASSIGN_OR_RETURN(Value lhs, EvaluateOperand(expr.lhs));
     DBRE_ASSIGN_OR_RETURN(Value rhs, EvaluateOperand(expr.rhs));
     if (lhs.is_null() || rhs.is_null()) return Ternary::kUnknown;
-    DBRE_ASSIGN_OR_RETURN(int cmp, CompareValues(lhs, rhs));
+    DBRE_ASSIGN_OR_RETURN(std::partial_ordering cmp,
+                          CompareValues(lhs, rhs));
     bool truth = false;
     switch (expr.op) {
       case ComparisonOp::kEq: truth = cmp == 0; break;
@@ -490,7 +503,8 @@ class Evaluator {
           match = And(match, Ternary::kUnknown);
           continue;
         }
-        DBRE_ASSIGN_OR_RETURN(int cmp, CompareValues(probe[i], row[i]));
+        DBRE_ASSIGN_OR_RETURN(std::partial_ordering cmp,
+                              CompareValues(probe[i], row[i]));
         match = And(match, cmp == 0 ? Ternary::kTrue : Ternary::kFalse);
       }
       if (match == Ternary::kTrue) {

@@ -1,13 +1,11 @@
 // The batch kernels are the query cache's and the algebra layer's inner
 // loops; each is pinned against a scalar reference over randomized inputs,
-// including the batch-boundary sizes (kBatchSize ± 1) and NULL lanes.
+// including the batch-boundary sizes (kBatchSize ± 1).
 #include "relational/column_batch.h"
 
 #include <random>
 
 #include <gtest/gtest.h>
-
-#include "relational/encoded_table.h"
 
 namespace dbre {
 namespace {
@@ -30,24 +28,6 @@ TEST(BatchIteratorTest, CoversBoundarySizes) {
     EXPECT_EQ(total, rows);
     EXPECT_EQ(batches, (rows + batch::kBatchSize - 1) / batch::kBatchSize);
   }
-}
-
-TEST(GatherKeysTest, GathersAndCombines) {
-  const uint32_t null_code = EncodedTable::kNullCode;
-  std::vector<uint64_t> code_keys = {11, 22, 33};
-  std::vector<uint32_t> codes = {2, null_code, 0};
-  std::vector<uint64_t> out(codes.size());
-  batch::GatherKeys(codes.data(), codes.size(), code_keys.data(),
-                    /*null_key=*/7, null_code, out.data());
-  EXPECT_EQ(out, (std::vector<uint64_t>{33, 7, 11}));
-  // CombineKeys chains SketchHashCombine per lane.
-  std::vector<uint64_t> inout = {100, 200, 300};
-  std::vector<uint64_t> expected = {
-      SketchHashCombine(100, 33), SketchHashCombine(200, 7),
-      SketchHashCombine(300, 11)};
-  batch::CombineKeys(codes.data(), codes.size(), code_keys.data(),
-                     /*null_key=*/7, null_code, inout.data());
-  EXPECT_EQ(inout, expected);
 }
 
 TEST(ProbeKernelsTest, MatchScalarMembershipUnderRandomKeys) {

@@ -1,7 +1,9 @@
 // The DML front end (sql/dml.h): grammar, SQL NULL comparison semantics,
 // two-phase parse-validate-then-apply atomicity, and the per-table
 // mutation stats the incremental driver keys on.
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,6 +113,37 @@ TEST(DmlTest, IsNotNullAndOrderingOperators) {
   const Table& emp = Get(database, "emp");
   EXPECT_EQ(emp.rows()[0][2].as_int(), 99);
   EXPECT_EQ(emp.rows()[2][2].as_int(), 98);
+}
+
+TEST(DmlTest, NanCellsAreUnordered) {
+  // A NaN cell is unordered against every literal: = < <= > >= never match
+  // it and <> always does (IEEE 754).
+  Database database;
+  RelationSchema schema("m");
+  EXPECT_TRUE(schema.AddAttribute("id", DataType::kInt64).ok());
+  EXPECT_TRUE(schema.AddAttribute("x", DataType::kDouble).ok());
+  Table table(schema);
+  const Value nan = Value::Real(std::numeric_limits<double>::quiet_NaN());
+  table.InsertUnchecked({Value::Int(1), Value::Real(1.0)});
+  table.InsertUnchecked({Value::Int(2), nan});
+  table.InsertUnchecked({Value::Int(3), Value::Real(2.0)});
+  table.InsertUnchecked({Value::Int(4), nan});
+  ASSERT_TRUE(database.AddTable(std::move(table)).ok());
+  const std::vector<std::pair<std::string, size_t>> updates = {
+      {"x = 1.0", 1}, {"x <> 1.0", 3}, {"x < 5.0", 2},
+      {"x <= 2.0", 2}, {"x > 0.5", 2}, {"x >= 1.0", 2},
+  };
+  for (const auto& [where, expected] : updates) {
+    auto stats = ExecuteDmlScript("UPDATE m SET id = 0 WHERE " + where + ";",
+                                  &database);
+    ASSERT_TRUE(stats.ok()) << where << ": " << stats.status().ToString();
+    EXPECT_EQ(stats->rows_updated, expected) << where;
+  }
+  auto deleted = ExecuteDmlScript("DELETE FROM m WHERE x <> 2.0;", &database);
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(deleted->rows_deleted, 3u);
+  ASSERT_EQ(Get(database, "m").rows().size(), 1u);
+  EXPECT_EQ(Get(database, "m").rows()[0][1], Value::Real(2.0));
 }
 
 TEST(DmlTest, ScriptIsAtomicAcrossStatements) {

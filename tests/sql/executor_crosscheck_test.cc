@@ -6,6 +6,7 @@
 // every single-column equi-join of adversarial extensions: NULL-heavy
 // columns, -0.0 next to 0.0, an empty table, NaN doubles, and row counts
 // straddling the batch size of the cache's kernels.
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -23,6 +24,8 @@
 namespace dbre::sql {
 namespace {
 
+const Value kNan = Value::Real(std::numeric_limits<double>::quiet_NaN());
+
 // 1, NaN, 1, 2, NaN, 2, 1: each NaN is its own distinct value (NaN equals
 // nothing), so ‖Nan[x]‖ = 4.
 Table MakeNanTable() {
@@ -30,9 +33,8 @@ Table MakeNanTable() {
   EXPECT_TRUE(schema.AddAttribute("x", DataType::kDouble).ok());
   EXPECT_TRUE(schema.AddAttribute("k", DataType::kInt64).ok());
   Table table(std::move(schema));
-  const Value nan = Value::Real(std::numeric_limits<double>::quiet_NaN());
-  const std::vector<Value> xs = {Value::Real(1), nan, Value::Real(1),
-                                 Value::Real(2), nan, Value::Real(2),
+  const std::vector<Value> xs = {Value::Real(1), kNan, Value::Real(1),
+                                 Value::Real(2), kNan, Value::Real(2),
                                  Value::Real(1)};
   for (size_t i = 0; i < xs.size(); ++i) {
     table.InsertUnchecked({xs[i], Value::Int(static_cast<int64_t>(i % 2))});
@@ -87,6 +89,16 @@ Database MakeDatabase(size_t emp_rows) {
     EXPECT_TRUE(db.AddTable(std::move(table)).ok());
   }
   EXPECT_TRUE(db.AddTable(MakeNanTable()).ok());
+  {
+    // A second NaN column, so a NaN meets a NaN across a join.
+    RelationSchema schema("Nan2");
+    EXPECT_TRUE(schema.AddAttribute("x", DataType::kDouble).ok());
+    Table table(std::move(schema));
+    for (const Value& x : {kNan, Value::Real(2), kNan, Value::Real(-0.0)}) {
+      table.InsertUnchecked({x});
+    }
+    EXPECT_TRUE(db.AddTable(std::move(table)).ok());
+  }
   return db;
 }
 
@@ -137,8 +149,10 @@ void CheckDistinctCounts(const Database& db) {
 
 // For every single-column equi-join between two same-typed columns: the
 // NULL-free rows of the SQL INTERSECT are ComputeJoinCounts' N_kl, and
-// each side's ‖·‖ through SQL is its N_k / N_l.
-void CheckJoinCounts(const Database& db) {
+// each side's ‖·‖ through SQL is its N_k / N_l. With `via_where`, so are
+// the distinct left values the join's WHERE equality pairs with a right
+// row (a cross product, so only for small extensions).
+void CheckJoinCounts(const Database& db, bool via_where = false) {
   struct Column {
     std::string relation;
     std::string attribute;
@@ -164,6 +178,13 @@ void CheckJoinCounts(const Database& db) {
           "SELECT " + left.attribute + " FROM " + left.relation +
           " INTERSECT SELECT " + right.attribute + " FROM " + right.relation;
       EXPECT_EQ(NullFreeRows(db, intersect), counts->n_join) << intersect;
+      if (via_where) {
+        const std::string joined =
+            "SELECT DISTINCT l." + left.attribute + " FROM " + left.relation +
+            " l, " + right.relation + " r WHERE l." + left.attribute +
+            " = r." + right.attribute;
+        EXPECT_EQ(NullFreeRows(db, joined), counts->n_join) << joined;
+      }
       auto n_left = CountDistinct(db, left.relation, {left.attribute});
       auto n_right = CountDistinct(db, right.relation, {right.attribute});
       ASSERT_TRUE(n_left.ok() && n_right.ok()) << join.ToString();
@@ -178,7 +199,7 @@ TEST(ExecutorCrosscheckTest, SmallExtensionDistinctCounts) {
 }
 
 TEST(ExecutorCrosscheckTest, SmallExtensionJoinCounts) {
-  CheckJoinCounts(MakeDatabase(97));
+  CheckJoinCounts(MakeDatabase(97), /*via_where=*/true);
 }
 
 TEST(ExecutorCrosscheckTest, BatchBoundaryExtensions) {
@@ -207,6 +228,71 @@ TEST(ExecutorCrosscheckTest, NanColumnDistinctMatchesDistinctCount) {
   EXPECT_EQ((*cache)->DistinctCount({0}), 4u);
   EXPECT_EQ(rows->NumRows(), 4u);
   EXPECT_EQ(*CountDistinct(db, "Nan", {"x"}), 4u);
+}
+
+TEST(ExecutorCrosscheckTest, NanComparisonsAreUnordered) {
+  // A NaN operand is unordered: = < <= > >= are false and <> is true, so
+  // each WHERE keeps exactly the rows IEEE 754 double comparison keeps.
+  Database db;
+  ASSERT_TRUE(db.AddTable(MakeNanTable()).ok());
+  const Table& table = **db.GetTable("Nan");
+  const std::vector<std::pair<std::string, bool (*)(double, double)>> ops = {
+      {"=", [](double a, double b) { return a == b; }},
+      {"<>", [](double a, double b) { return a != b; }},
+      {"<", [](double a, double b) { return a < b; }},
+      {"<=", [](double a, double b) { return a <= b; }},
+      {">", [](double a, double b) { return a > b; }},
+      {">=", [](double a, double b) { return a >= b; }},
+  };
+  for (const auto& [op, holds] : ops) {
+    for (const char* literal : {"1.0", "1.5", "2.0"}) {
+      const double bound = std::stod(literal);
+      size_t expected = 0;
+      for (const ValueVector& row : table.rows()) {
+        expected += holds(row[0].as_real(), bound) ? 1 : 0;
+      }
+      const std::string query =
+          std::string("SELECT k FROM Nan WHERE x ") + op + " " + literal;
+      auto rows = ExecuteQuery(db, query);
+      ASSERT_TRUE(rows.ok()) << query << ": " << rows.status();
+      EXPECT_EQ(rows->NumRows(), expected) << query;
+    }
+  }
+}
+
+TEST(ExecutorCrosscheckTest, NanRowsMatchNothingInSetOperations) {
+  // x = [1, NaN] in P and Q: rows match by Value::operator==, as in
+  // ComputeJoinCounts, so the two NaNs never pair up.
+  Database db;
+  for (const char* name : {"P", "Q"}) {
+    RelationSchema schema(name);
+    ASSERT_TRUE(schema.AddAttribute("x", DataType::kDouble).ok());
+    Table table(std::move(schema));
+    table.InsertUnchecked({Value::Real(1)});
+    table.InsertUnchecked({kNan});
+    ASSERT_TRUE(db.AddTable(std::move(table)).ok());
+  }
+  auto counts = ComputeJoinCounts(db, EquiJoin::Single("P", "x", "Q", "x"));
+  ASSERT_TRUE(counts.ok()) << counts.status();
+  EXPECT_EQ(counts->n_join, 1u);
+  const std::vector<std::pair<std::string, size_t>> cases = {
+      {"SELECT x FROM P INTERSECT SELECT x FROM Q", 1},
+      {"SELECT x FROM P MINUS SELECT x FROM Q", 1},
+      {"SELECT x FROM P UNION SELECT x FROM Q", 3},
+  };
+  for (const auto& [query, expected] : cases) {
+    auto rows = ExecuteQuery(db, query);
+    ASSERT_TRUE(rows.ok()) << query << ": " << rows.status();
+    EXPECT_EQ(rows->NumRows(), expected) << query;
+  }
+  auto intersect = ExecuteQuery(db, cases[0].first);
+  ASSERT_TRUE(intersect.ok());
+  ASSERT_EQ(intersect->NumRows(), 1u);
+  EXPECT_EQ(intersect->rows[0][0], Value::Real(1));
+  auto minus = ExecuteQuery(db, cases[1].first);
+  ASSERT_TRUE(minus.ok());
+  ASSERT_EQ(minus->NumRows(), 1u);
+  EXPECT_TRUE(std::isnan(minus->rows[0][0].as_real()));
 }
 
 TEST(ExecutorCrosscheckTest, ErrorMessagesAreExact) {
